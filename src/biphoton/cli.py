@@ -297,7 +297,7 @@ def cmd_schmidt_sweep(rc: RunConfig, outdir: Path, tracker) -> dict:
         "failures": [list(f) for f in sweep.failures],
         "config": config_snapshot(rc),
         "kernel_metadata": [
-            est.filter.model if est else None for est in sweep.estimates[:3]
+            est.kernel_metadata if est else None for est in sweep.estimates[:3]
         ],
     }
     _write_json(outdir / "sweep_meta.json", meta, tracker)

@@ -7,8 +7,9 @@ K = N^2 / B with
 
 evaluated over a rectangular detection box (|q_x|, |q_y| <= q_max,
 |Omega| <= omega_max), in the full 3D spatio-temporal model or restricted
-2D-spatial / 1D-temporal models.  A dense-grid SVD oracle provides the
-exact discretized K for cross-validation.
+2D-spatial / 1D-temporal models.  A dense-grid oracle provides the exact
+discretized K for cross-validation, from two Frobenius norms of the
+amplitude matrix (its singular values on request).
 
 Two samplers are available.  "uniform" draws every coordinate uniformly in
 the box; it is exact but useless when the kernel support is a vanishing
@@ -428,6 +429,7 @@ class SchmidtEstimate:
     message: str = ""
     b_imag: float = 0.0
     b_imag_stderr: float = 0.0
+    kernel_metadata: dict = field(default_factory=dict)
 
 
 def schmidt_number(filter: BandwidthFilter, crystal: CrystalConfig,
@@ -445,18 +447,20 @@ def schmidt_number(filter: BandwidthFilter, crystal: CrystalConfig,
     else:
         n_purity = int(n_samples)
         n_norm = max(MIN_NORM_SAMPLES, n_purity // 10)
+    kern = kernel if kernel is not None else build_kernel(filter, crystal, pump)
     root = _as_seed_sequence(seed)
     seed_n, seed_b = root.spawn(2)
     est_n = mc_norm(filter, crystal, pump, n_norm, seed_n, sampler=sampler,
-                    kernel=kernel, batch=batch)
+                    kernel=kern, batch=batch)
     est_b = mc_purity(filter, crystal, pump, n_purity, seed_b, sampler=sampler,
-                      kernel=kernel, batch=batch)
+                      kernel=kern, batch=batch)
     common = dict(
         n_value=est_n.value, n_stderr=est_n.stderr,
         b_value=est_b.value, b_stderr=est_b.stderr,
         n_samples_norm=n_norm, n_samples_purity=n_purity,
         sampler=sampler, rng=RNG_DESCRIPTION, filter=filter,
         b_imag=est_b.imag_value, b_imag_stderr=est_b.imag_stderr,
+        kernel_metadata=dict(kern.metadata),
     )
     if not est_b.value > 0 or not est_n.value > 0:
         return SchmidtEstimate(
@@ -481,23 +485,52 @@ def schmidt_from_singular_values(sigma):
     return float(total**2 / (s2 * s2).sum())
 
 
+_GRAM_BLOCK = 256
+
+
+def _frobenius_schmidt(M):
+    """(K, ||M||_F^2, ||M^H M||_F^2) of an amplitude matrix, no decomposition.
+
+    With s the singular values of M, sum s^2 = ||M||_F^2 and
+    sum s^4 = ||M^H M||_F^2, so K = (sum s^2)^2 / sum s^4 follows from two
+    norms.  The Gram norm is summed over column blocks of the lower triangle
+    of conj(M^H M) = M^T conj(M), which has the same norm: the diagonal block
+    once, the rows below it twice.  Only one block of the Gram matrix and
+    one conjugated column block of M are held at a time.
+    """
+    M = np.asarray(M)
+    n = float(np.vdot(M, M).real)
+    if not n > 0:
+        raise ValueError("all singular values vanish")
+    MT = M.T
+    cols = M.shape[1]
+    b = 0.0
+    for j0 in range(0, cols, _GRAM_BLOCK):
+        j1 = min(j0 + _GRAM_BLOCK, cols)
+        Gb = MT[j0:] @ M[:, j0:j1].conj()
+        diag, below = Gb[: j1 - j0], Gb[j1 - j0 :]
+        b += float(np.vdot(diag, diag).real + 2.0 * np.vdot(below, below).real)
+    return n * n / b, n, b
+
+
 def schmidt_from_matrix(M):
     """Schmidt number of a discretized two-photon amplitude matrix."""
-    return schmidt_from_singular_values(
-        np.linalg.svd(np.asarray(M), compute_uv=False)
-    )
+    return _frobenius_schmidt(M)[0]
 
 
 @dataclass(frozen=True)
 class SvdOracle:
-    """Exact Schmidt data of the grid-discretized amplitude."""
+    """Exact Schmidt data of the grid-discretized amplitude.
+
+    singular_values is None unless the oracle was asked for the spectrum.
+    """
 
     k_value: float
-    singular_values: np.ndarray
     n_grid: float
     b_grid: float
     cell_volume: float
     grid_sizes: tuple
+    singular_values: Optional[np.ndarray] = None
 
 
 def _midpoint_axes(half, sizes):
@@ -510,13 +543,16 @@ def _midpoint_axes(half, sizes):
 
 def svd_oracle(filter: BandwidthFilter, crystal: CrystalConfig,
                pump: PumpConfig, grid_sizes, kernel=None,
-               max_cells=4096) -> SvdOracle:
-    """Discretize the amplitude on a midpoint grid and Schmidt-decompose it.
+               max_cells=4096, spectrum=False) -> SvdOracle:
+    """Discretize the amplitude on a midpoint grid and take its exact K.
 
     grid_sizes is one int per model dimension (or a single int reused).
-    The per-photon cell count is capped (the amplitude matrix is cells^2
-    complex entries and the SVD cost is cells^3); exceeding it raises with
-    a suggested grid.
+    K, n_grid and b_grid come from the Frobenius norms of the amplitude
+    matrix and of its Gram matrix; spectrum=True also returns the singular
+    values from a dense SVD.  The per-photon cell count is capped (the
+    amplitude matrix is cells^2 complex entries, the norm cost is cells^3
+    and the SVD holds a second copy of the matrix); exceeding it raises
+    with a suggested grid.
     """
     kern = kernel if kernel is not None else build_kernel(filter, crystal, pump)
     half = filter.half_widths()
@@ -549,15 +585,16 @@ def svd_oracle(filter: BandwidthFilter, crystal: CrystalConfig,
         W2 = np.tile(W, (stop - start, 1))
         M[start:stop] = kern.evaluate(W1, W2).reshape(stop - start, cells)
 
-    sing = np.linalg.svd(M, compute_uv=False)
-    s2 = sing**2
+    k, n, b = _frobenius_schmidt(M)
     return SvdOracle(
-        k_value=schmidt_from_singular_values(sing),
-        singular_values=sing,
-        n_grid=float(s2.sum() * cellvol**2),
-        b_grid=float((s2 * s2).sum() * cellvol**4),
+        k_value=k,
+        n_grid=n * cellvol**2,
+        b_grid=b * cellvol**4,
         cell_volume=cellvol,
         grid_sizes=sizes,
+        singular_values=(
+            np.linalg.svd(M, compute_uv=False) if spectrum else None
+        ),
     )
 
 
@@ -625,8 +662,8 @@ def bandwidth_sweep(omega_max_list: Sequence[float],
                 )
                 if not est.ok:
                     failures.append((i, model, est.message))
-            except Exception as exc:  # record, keep sweeping
-                failures.append((i, model, str(exc)))
+            except ValueError as exc:  # domain error: record, keep sweeping
+                failures.append((i, model, f"{type(exc).__name__}: {exc}"))
                 est = None
             estimates.append(est)
             k, e = (math.nan, math.nan)

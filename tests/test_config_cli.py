@@ -3,10 +3,12 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import biphoton
 from biphoton.cli import main
 from biphoton.config import (
     ConfigError,
@@ -180,6 +182,25 @@ def test_cli_schmidt_sweep_small(tmp_path):
     assert (out / "plot_sweep.py").is_file()
 
 
+def test_cli_sweep_meta_records_kernel_metadata(tmp_path):
+    cfg = _small_cfg(
+        tmp_path,
+        extra=(
+            "\n[filter]\nomega_max_list = 5e13\n\n"
+            "[mc]\nn_norm = 2000\nn_purity = 10000\nseed = 4\n"
+        ),
+    )
+    out = tmp_path / "sweep"
+    assert main(["schmidt-sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    full3d, spatial2d, temporal1d = json.loads(
+        (out / "sweep_meta.json").read_text()
+    )["kernel_metadata"]
+    assert full3d == {"model": "full3d"}
+    assert spatial2d == {"model": "spatial2d", "frozen_omega": 0.0}
+    assert temporal1d["model"] == "temporal1d"
+    assert set(temporal1d) == {"model", "frozen_q", "frozen_q_taylor"}
+
+
 def test_cli_seed_and_samples_flags_echoed(tmp_path):
     cfg = _small_cfg(
         tmp_path,
@@ -228,10 +249,14 @@ def test_cli_env_var_output_dir(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_entry_point_runs():
+    # the child must import the same biphoton as this process, installed or
+    # put on sys.path by pytest's pythonpath setting
+    src = str(Path(biphoton.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "biphoton.cli", "tune", "--config",
          str(COLLINEAR_CFG), "--out", "/tmp/biphoton_entry_test"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "22.9" in proc.stdout

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biphoton import schmidt
+from biphoton.dispersion import WindowError
 from biphoton.phasematch import delta_pw
 from biphoton.schmidt import (
     BandwidthFilter,
@@ -84,11 +86,60 @@ def test_rank_one_kernel_gives_unit_schmidt_number():
 
 
 def test_rank_one_svd_oracle_exact():
-    orc = svd_oracle(BOX_1D, None, None, 64, kernel=GAUSS)
+    orc = svd_oracle(BOX_1D, None, None, 64, kernel=GAUSS, spectrum=True)
     assert orc.k_value == pytest.approx(1.0, abs=1e-12)
     s = orc.singular_values
     assert s[0] > 0
     assert np.all(s[1:] < 1e-12 * s[0])
+
+
+def _svd_reference(M):
+    """K, sum s^2 and sum s^4 from a dense SVD."""
+    s2 = np.linalg.svd(M, compute_uv=False) ** 2
+    return s2.sum() ** 2 / (s2 * s2).sum(), s2.sum(), (s2 * s2).sum()
+
+
+# one partial column block, exactly one block, and two blocks plus one column
+@pytest.mark.parametrize("cells", [1, 7, 256, 513])
+def test_frobenius_schmidt_matches_svd(cells):
+    rng = np.random.default_rng(cells)
+    M = rng.standard_normal((cells, cells)) + 1j * rng.standard_normal((cells, cells))
+    k_ref, n_ref, b_ref = _svd_reference(M)
+    k, n, b = schmidt._frobenius_schmidt(M)
+    assert k == pytest.approx(k_ref, rel=1e-10)
+    assert n == pytest.approx(n_ref, rel=1e-10)
+    assert b == pytest.approx(b_ref, rel=1e-10)
+    assert schmidt_from_matrix(M) == k
+
+
+def test_frobenius_schmidt_zero_matrix_raises():
+    with pytest.raises(ValueError, match="vanish"):
+        schmidt_from_matrix(np.zeros((3, 3), dtype=complex))
+
+
+def test_svd_oracle_matches_svd_reference_full3d(collinear, narrow_pump):
+    filt = BandwidthFilter(q_max=1e5, omega_max=5e13, model="full3d")
+    sizes = (3, 5, 7)
+    half = filt.half_widths()
+    axes = [-h + (np.arange(n) + 0.5) * 2 * h / n for h, n in zip(half, sizes)]
+    W = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    cells = len(W)
+    kern = build_kernel(filt, collinear, narrow_pump)
+    M = kern.evaluate(np.repeat(W, cells, axis=0), np.tile(W, (cells, 1)))
+    k_ref, n_ref, b_ref = _svd_reference(M.reshape(cells, cells))
+    vol = np.prod(2 * half / sizes)
+
+    orc = svd_oracle(filt, collinear, narrow_pump, sizes)
+    assert orc.singular_values is None
+    assert orc.grid_sizes == sizes
+    assert orc.k_value == pytest.approx(k_ref, rel=1e-10)
+    assert orc.n_grid == pytest.approx(n_ref * vol**2, rel=1e-10)
+    assert orc.b_grid == pytest.approx(b_ref * vol**4, rel=1e-10)
+    full = svd_oracle(filt, collinear, narrow_pump, sizes, spectrum=True)
+    assert len(full.singular_values) == cells
+    assert (full.k_value, full.n_grid, full.b_grid) == (
+        orc.k_value, orc.n_grid, orc.b_grid
+    )
 
 
 def test_schmidt_from_matrix_maximally_entangled_pair():
@@ -282,3 +333,34 @@ def test_sweep_records_failures_and_continues(pump, collinear):
     assert len(sweep.failures) >= 1
     assert not math.isnan(sweep.k1d[0])
     assert math.isnan(sweep.k3d[1])
+
+
+def _failing_schmidt_number(exc):
+    real = schmidt.schmidt_number
+
+    def fake(filt, *args, **kwargs):
+        if filt.model == "temporal1d":
+            raise exc
+        return real(filt, *args, **kwargs)
+
+    return fake
+
+
+def test_sweep_records_value_error_type(monkeypatch, collinear, pump):
+    exc = WindowError(4e-6, (0.22e-6, 3.1e-6))
+    monkeypatch.setattr(schmidt, "schmidt_number", _failing_schmidt_number(exc))
+    filt = BandwidthFilter(q_max=1.2e6, omega_max=5e13)
+    sweep = bandwidth_sweep([5e13], filt, collinear, pump, (20_000, 60_000), 5)
+    assert sweep.failures == [(0, "temporal1d", f"WindowError: {exc}")]
+    assert sweep.estimates[2] is None
+    assert math.isnan(sweep.k1d[0])
+    assert not math.isnan(sweep.k3d[0])
+
+
+def test_sweep_propagates_non_domain_errors(monkeypatch, collinear, pump):
+    monkeypatch.setattr(
+        schmidt, "schmidt_number", _failing_schmidt_number(TypeError("bug"))
+    )
+    filt = BandwidthFilter(q_max=1.2e6, omega_max=5e13)
+    with pytest.raises(TypeError, match="bug"):
+        bandwidth_sweep([5e13], filt, collinear, pump, (20_000, 60_000), 5)
