@@ -22,6 +22,7 @@ from .phasematch import (
     EvanescentError,
     FourierCoord,
     delta_full_arrays,
+    delta_pw_arrays,
     solve_q_pm,
     taylor_coefficients,
 )
@@ -136,23 +137,7 @@ def pw_kernel(q, omega_shift, crystal: CrystalConfig, g,
 
 def pw_kernel_values(q, omega_shift, crystal: CrystalConfig, g):
     """Vectorized pw_kernel; returns (values, evanescent_count)."""
-    q = np.asarray(q, dtype=float)
-    om = np.asarray(omega_shift, dtype=float)
-    q, om = np.broadcast_arrays(q, om)
-    ks_p = signal_wavenumber(om, crystal)
-    ks_m = signal_wavenumber(-om, crystal)
-    kz_p_sq = ks_p**2 - q**2
-    kz_m_sq = ks_m**2 - q**2
-    ok = (kz_p_sq > 0) & (kz_m_sq > 0)
-    from .dispersion import pump_wavenumber
-
-    kp = pump_wavenumber(crystal)
-    delta = np.where(
-        ok,
-        (np.sqrt(np.where(ok, kz_p_sq, 1.0)) + np.sqrt(np.where(ok, kz_m_sq, 1.0)) - kp)
-        * crystal.length_lc,
-        0.0,
-    )
+    delta, ok = delta_pw_arrays(q, omega_shift, crystal)
     vals = np.where(ok, g * sinc(0.5 * delta) * np.exp(1j * 0.5 * delta), 0.0 + 0.0j)
     return vals, int(np.count_nonzero(~ok))
 

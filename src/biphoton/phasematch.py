@@ -7,7 +7,8 @@ The dimensionless two-mode mismatch is
     Delta(w1, w2) = [k_sz(w1) + k_sz(w2) - k_pz(w1 + w2)] * l_c
 
 and its symmetric restriction Delta_pw(q, Omega) = Delta(w, -w) defines the
-phase-matching curve |q| = q_pm(Omega) as its root in q.
+phase-matching curve |q| = q_pm(Omega) as its root in q.  Both the root and
+the collinear tuning angle have closed forms, so nothing here iterates.
 """
 
 from __future__ import annotations
@@ -20,16 +21,18 @@ import numpy as np
 
 from .dispersion import (
     CrystalConfig,
+    evaluate_sellmeier,
     group_quantities,
+    index_ordinary,
     pump_walkoff_angle,
     pump_wavenumber,
     pump_wavenumber_at,
     signal_wavenumber,
 )
 
-#: q-bisection stops when |Delta_pw| falls below this (dimensionless).
+#: a phase-matching root is kept only when |Delta_pw| there is at most this
+#: (dimensionless).
 PM_SOLVER_TOL = 1.0e-6
-PM_MAX_ITER = 200
 
 
 class EvanescentError(ValueError):
@@ -126,59 +129,76 @@ def kz_signal(coord: FourierCoord, config: CrystalConfig):
     return math.sqrt(ks**2 - coord.q2)
 
 
+def delta_pw_arrays(q, omega_shift, config: CrystalConfig):
+    """Vectorized Delta_pw(q, Omega); returns (delta, propagating).
+
+    Points non-propagating at +Omega or -Omega are flagged False and carry
+    delta = 0 (the kernel vanishes outside the propagating cone).
+    """
+    q = np.asarray(q, dtype=float)
+    om = np.asarray(omega_shift, dtype=float)
+    q, om = np.broadcast_arrays(q, om)
+    ks_p = signal_wavenumber(om, config)
+    ks_m = signal_wavenumber(-om, config)
+    kz_p_sq = ks_p**2 - q**2
+    kz_m_sq = ks_m**2 - q**2
+    ok = (kz_p_sq > 0) & (kz_m_sq > 0)
+    kp = pump_wavenumber(config)
+    delta = np.where(
+        ok,
+        (np.sqrt(np.where(ok, kz_p_sq, 1.0)) + np.sqrt(np.where(ok, kz_m_sq, 1.0)) - kp)
+        * config.length_lc,
+        0.0,
+    )
+    return delta, ok
+
+
 def delta_pw(q, omega_shift, config: CrystalConfig):
     """Symmetric plane-wave-pump mismatch Delta_pw(q, Omega), dimensionless.
 
     [sqrt(k_s(Omega)^2 - q^2) + sqrt(k_s(-Omega)^2 - q^2) - k_p] * l_c.
     Accepts scalars or arrays; raises EvanescentError if any point is
-    non-propagating at either +Omega or -Omega.
+    non-propagating at either +Omega or -Omega (a NaN q counts as one).
     """
-    q = np.asarray(q, dtype=float)
-    om = np.asarray(omega_shift, dtype=float)
-    ks_p = signal_wavenumber(om, config)
-    ks_m = signal_wavenumber(-om, config)
-    q2 = q**2
-    if np.any(q2 >= ks_p**2) or np.any(q2 >= ks_m**2):
-        bad = np.argmax((q2 >= ks_p**2) | (q2 >= ks_m**2))
-        raise EvanescentError(
-            float(np.ravel(q)[bad] if q.ndim else q),
-            float(np.ravel(om)[bad] if om.ndim else om),
-            float(min(np.ravel(ks_p)[bad] if ks_p.ndim else ks_p,
-                      np.ravel(ks_m)[bad] if ks_m.ndim else ks_m)),
-        )
-    kp = pump_wavenumber(config)
-    out = (np.sqrt(ks_p**2 - q2) + np.sqrt(ks_m**2 - q2) - kp) * config.length_lc
-    return float(out) if out.ndim == 0 else out
+    delta, ok = delta_pw_arrays(q, omega_shift, config)
+    if not np.all(ok):
+        bad = np.argmax(~np.ravel(ok))
+        qb = float(np.ravel(np.broadcast_to(q, ok.shape))[bad])
+        om = float(np.ravel(np.broadcast_to(omega_shift, ok.shape))[bad])
+        ks = min(signal_wavenumber(om, config), signal_wavenumber(-om, config))
+        raise EvanescentError(qb, om, float(ks))
+    return float(delta) if delta.ndim == 0 else delta
 
 
 def delta_full(w1: FourierCoord, w2: FourierCoord, config: CrystalConfig):
     """Full two-mode mismatch Delta(w1, w2), dimensionless.
 
-    The pump longitudinal wavevector is evaluated for the extraordinary ray
-    at the fixed tuning angle, k_pz = sqrt(k_p(Omega1+Omega2)^2 - |q1+q2|^2).
-    With config.pump_walkoff_phase on, the first-order walk-off phase
-    rho * (q1x + q2x) * l_c is added (optic axis in the x-z plane).
+    Scalar form of delta_full_arrays that raises EvanescentError, naming the
+    mode (photon 1, photon 2 or pump) furthest past its propagating cone.
     """
-    kz1 = kz_signal(w1, config)
-    kz2 = kz_signal(w2, config)
-    qpx = w1.qx + w2.qx
-    qpy = w1.qy + w2.qy
-    qp2 = qpx**2 + qpy**2
-    kp = float(pump_wavenumber_at(w1.omega_shift + w2.omega_shift, config))
-    if qp2 >= kp**2:
-        raise EvanescentError(
-            math.sqrt(qp2), w1.omega_shift + w2.omega_shift, kp
-        )
-    kpz = math.sqrt(kp**2 - qp2)
-    delta = (kz1 + kz2 - kpz) * config.length_lc
-    if config.pump_walkoff_phase:
-        delta += pump_walkoff_angle(config) * qpx * config.length_lc
-    return delta
+    delta, _, ok = delta_full_arrays(
+        w1.qx, w1.qy, w1.omega_shift, w2.qx, w2.qy, w2.omega_shift, config
+    )
+    if not ok:
+        om_p = w1.omega_shift + w2.omega_shift
+        modes = [
+            (math.sqrt(w.q2), w.omega_shift,
+             float(signal_wavenumber(w.omega_shift, config)))
+            for w in (w1, w2)
+        ]
+        modes.append((math.hypot(w1.qx + w2.qx, w1.qy + w2.qy), om_p,
+                      float(pump_wavenumber_at(om_p, config))))
+        raise EvanescentError(*max(modes, key=lambda m: m[0] / m[2]))
+    return float(delta)
 
 
 def delta_full_arrays(qx1, qy1, om1, qx2, qy2, om2, config: CrystalConfig):
     """Vectorized Delta(w1, w2) for kernel sampling.
 
+    The pump longitudinal wavevector is evaluated for the extraordinary ray
+    at the fixed tuning angle, k_pz = sqrt(k_p(Omega1+Omega2)^2 - |q1+q2|^2).
+    With config.pump_walkoff_phase on, the first-order walk-off phase
+    rho * (q1x + q2x) * l_c is added (optic axis in the x-z plane).
     Returns (delta, kpz, propagating) where non-propagating entries are
     flagged False and carry delta = 0 (the physical kernel vanishes outside
     the propagating cone, so callers zero them rather than raise).
@@ -212,38 +232,30 @@ def delta0(config: CrystalConfig):
 
 
 def solve_q_pm(omega_shift, config: CrystalConfig, tol=PM_SOLVER_TOL):
-    """Root q_pm(Omega) of Delta_pw by bisection; NaN when no root exists.
+    """Root q_pm(Omega) of Delta_pw in closed form; NaN where no root exists.
 
-    Delta_pw is strictly decreasing in q below the evanescent bound, so a
-    root exists iff Delta_pw(0, Omega) >= 0.  The bracket is halved to
-    floating-point exhaustion (never more than PM_MAX_ITER steps), which
-    leaves |Delta_pw| far below tol for well-scaled configs.
+    With a = k_s(Omega), b = k_s(-Omega) and c = k_p, Delta_pw = 0 reads
+    sqrt(a^2 - q^2) + sqrt(b^2 - q^2) = c, so q_pm is the height onto side c
+    of the triangle (a, b, c).  It is evaluated with Kahan's stable area
+    formula on the sides sorted x >= y >= z.  A root exists when
+    a + b >= c (Delta_pw(0, Omega) >= 0) and the foot of the height lies
+    inside side c, c^2 > |a^2 - b^2| (at equality the root grazes the
+    evanescent bound).  Postcondition: a root with |Delta_pw| > tol becomes
+    NaN.  Accepts scalars or arrays; returns a float for scalar input.
     """
-    om = float(omega_shift)
-    ks_p = float(signal_wavenumber(om, config))
-    ks_m = float(signal_wavenumber(-om, config))
-    lo, hi = 0.0, min(ks_p, ks_m) * (1.0 - 1e-12)
-    f_lo = delta_pw(lo, om, config)
-    if f_lo < 0.0:
-        return math.nan
-    if f_lo == 0.0:
-        return 0.0
-    if delta_pw(hi, om, config) > 0.0:
-        return math.nan
-    # exhaust the bracket to floating-point resolution: downstream slope and
-    # classical-identity checks need q_pm far tighter than tol alone implies
-    for _ in range(PM_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if delta_pw(mid, om, config) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    q = 0.5 * (lo + hi)
-    if abs(delta_pw(q, om, config)) > tol:
-        return math.nan
-    return q
+    om = np.asarray(omega_shift, dtype=float)
+    a = signal_wavenumber(om, config)
+    b = signal_wavenumber(-om, config)
+    c = pump_wavenumber(config)
+    x, y, z = np.sort(np.broadcast_arrays(a, b, c), axis=0)[::-1]
+    area4_sq = (x + (y + z)) * (z - (x - y)) * (z + (x - y)) * (x + (y - z))
+    exists = (a + b >= c) & (c * c > np.abs(a * a - b * b))
+    # rounding may leave area4_sq slightly negative on a flat triangle
+    q = np.where(exists, np.sqrt(np.maximum(area4_sq, 0.0)) / (2.0 * c), np.nan)
+    found = ~np.isnan(q)
+    resid = delta_pw(q[found], om[found], config)
+    q[found] = np.where(np.abs(resid) <= tol, q[found], np.nan)
+    return float(q) if q.ndim == 0 else q
 
 
 def pm_slope(omega_shift, config: CrystalConfig, rel_step=1e-5):
@@ -254,14 +266,12 @@ def pm_slope(omega_shift, config: CrystalConfig, rel_step=1e-5):
     """
     om = float(omega_shift)
     if om == 0.0:
-        h = rel_step * 1e14
-        q0 = solve_q_pm(0.0, config)
-        q1 = solve_q_pm(h, config)
-        return (q1 - q0) / h
-    h = abs(om) * rel_step
-    qp = solve_q_pm(om + h, config)
-    qm = solve_q_pm(om - h, config)
-    return (qp - qm) / (2 * h)
+        pts = np.array([0.0, rel_step * 1e14])
+    else:
+        h = abs(om) * rel_step
+        pts = np.array([om - h, om + h])
+    q_lo, q_hi = solve_q_pm(pts, config)
+    return float((q_hi - q_lo) / (pts[1] - pts[0]))
 
 
 def _curve_point_terms(omega_shift, config: CrystalConfig):
@@ -316,38 +326,27 @@ def taylor_coefficients(config: CrystalConfig) -> TaylorCoefficients:
 
 
 def tune_collinear(config: CrystalConfig, tol=1e-3):
-    """Tuning angle where Delta_pw(0, 0) crosses zero, or None if it never does.
+    """Tuning angle where Delta_pw(0, 0) vanishes, or None if none exists.
 
-    Delta0 is monotone in the tuning angle for a uniaxial crystal, so plain
-    bisection applies; the bracket is exhausted to machine precision which
-    leaves |Delta0| well under tol.
+    k_p(theta) = 2 k_s means n_e(theta, lambda_p) = n_o(lambda_s), and the
+    index ellipse gives sin^2(theta) = (n_o(lambda_s)^-2 - n_o(lambda_p)^-2)
+    / (n_e(lambda_p)^-2 - n_o(lambda_p)^-2) with principal indices at the
+    pump.  None when the crystal has no birefringence at the pump or
+    sin^2(theta) falls outside (0, 1); the angle is returned only if
+    |Delta0| there is at most tol.
     """
-    eps = 1e-9
-    lo, hi = eps, math.pi / 2 - eps
-
-    def f(theta):
-        return delta0(config.replace(tuning_angle=theta))
-
-    f_lo, f_hi = f(lo), f(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if f_lo * f_hi > 0:
+    lam_p_um = config.pump_wavelength * 1e6
+    n_s = float(index_ordinary(2 * config.pump_wavelength, config))
+    n_o = float(evaluate_sellmeier(config.sellmeier_ordinary, lam_p_um))
+    n_e = float(evaluate_sellmeier(config.sellmeier_extraordinary, lam_p_um))
+    denom = n_e**-2 - n_o**-2
+    if denom == 0.0:
         return None
-    for _ in range(PM_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid < 0) == (f_lo < 0):
-            lo = mid
-        else:
-            hi = mid
-    theta = 0.5 * (lo + hi)
-    if abs(f(theta)) > tol:
+    sin2 = (n_s**-2 - n_o**-2) / denom
+    if not 0.0 < sin2 < 1.0:
+        return None
+    theta = math.asin(math.sqrt(sin2))
+    if abs(delta0(config.replace(tuning_angle=theta))) > tol:
         return None
     return theta
 
@@ -393,21 +392,15 @@ def solve_pm_curve(
     if not om_lo < om_hi:
         raise ValueError(f"empty omega_range {omega_range}")
     omega = np.linspace(om_lo, om_hi, int(n_samples))
-    q = np.array([solve_q_pm(o, config, tol=tol) for o in omega])
+    q = solve_q_pm(omega, config, tol=tol)
 
-    slope = np.full_like(q, np.nan)
+    # central where both neighbours are roots, else one-sided, NaN in gaps
     valid = ~np.isnan(q)
-    for i in range(len(omega)):
-        if not valid[i]:
-            continue
-        left = i > 0 and valid[i - 1]
-        right = i < len(omega) - 1 and valid[i + 1]
-        if left and right:
-            slope[i] = (q[i + 1] - q[i - 1]) / (omega[i + 1] - omega[i - 1])
-        elif right:
-            slope[i] = (q[i + 1] - q[i]) / (omega[i + 1] - omega[i])
-        elif left:
-            slope[i] = (q[i] - q[i - 1]) / (omega[i] - omega[i - 1])
+    step = np.diff(q) / np.diff(omega)  # NaN across a gap
+    left, right = np.r_[np.nan, step], np.r_[step, np.nan]
+    central = np.r_[np.nan, (q[2:] - q[:-2]) / (omega[2:] - omega[:-2]), np.nan]
+    slope = np.where(np.isnan(central), np.where(np.isnan(right), left, right), central)
+    slope[~valid] = np.nan
 
     d0 = delta0(config)
     coeff = taylor_coefficients(config)

@@ -5,13 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biphoton.config import builtin_config_path, parse_config
 from biphoton.dispersion import (
+    KATO_BBO_EXTRAORDINARY,
+    KATO_BBO_ORDINARY,
     CrystalConfig,
     group_quantities,
     pump_walkoff_angle,
+    pump_wavenumber,
     signal_wavenumber,
 )
 from biphoton.phasematch import (
+    PM_SOLVER_TOL,
     EvanescentError,
     FourierCoord,
     OffCurveError,
@@ -32,8 +37,6 @@ from biphoton.phasematch import (
 
 def equal_sets_config():
     # dispersive but identical branches: no birefringence to tune against
-    from biphoton.dispersion import KATO_BBO_ORDINARY
-
     return CrystalConfig(
         sellmeier_ordinary=KATO_BBO_ORDINARY,
         sellmeier_extraordinary=KATO_BBO_ORDINARY,
@@ -141,6 +144,41 @@ def test_noncollinear_curve_plateau(noncollinear):
     assert solve_q_pm(3e13, noncollinear) == pytest.approx(expected, rel=0.01)
 
 
+def bisect_q_pm(omega, config):
+    """Reference root of Delta_pw by bisection, vectorized over omega."""
+    ks = np.minimum(signal_wavenumber(omega, config), signal_wavenumber(-omega, config))
+    lo, hi = np.zeros_like(omega), ks * (1.0 - 1e-12)
+    has_root = (delta_pw(lo, omega, config) >= 0.0) & (delta_pw(hi, omega, config) <= 0.0)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        above = delta_pw(mid, omega, config) >= 0.0
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    return np.where(has_root, 0.5 * (lo + hi), np.nan)
+
+
+@pytest.mark.parametrize("name", ["bbo_collinear", "bbo_noncollinear"])
+def test_closed_form_root_matches_bisection(name):
+    rc = parse_config(builtin_config_path(name))
+    ext = rc.grid.omega_extent
+    omega = np.linspace(-ext, ext, 401)
+    q = solve_q_pm(omega, rc.crystal)
+    ref = bisect_q_pm(omega, rc.crystal)
+    assert np.array_equal(np.isnan(q), np.isnan(ref))
+    found = ~np.isnan(q)
+    assert np.any(found)
+    assert np.all(np.abs(q[found] - ref[found]) <= 1e-9 * ref[found])
+    assert np.all(np.abs(delta_pw(q[found], omega[found], rc.crystal)) <= PM_SOLVER_TOL)
+
+
+def test_solve_q_pm_scalar_and_array_shapes(noncollinear):
+    assert type(solve_q_pm(1e14, noncollinear)) is float
+    assert type(solve_q_pm(0.0, equal_sets_config())) is float
+    omega = np.linspace(-2e14, 2e14, 12).reshape(3, 4)
+    q = solve_q_pm(omega, noncollinear)
+    assert isinstance(q, np.ndarray) and q.shape == (3, 4)
+    assert q[1, 2] == solve_q_pm(omega[1, 2], noncollinear)
+
+
 def test_curve_samples_satisfy_solver_postcondition(noncollinear):
     curve = solve_pm_curve((-3e14, 3e14), 101, noncollinear)
     assert curve.regime == "noncollinear"
@@ -218,6 +256,52 @@ def test_tune_collinear_angle(bbo):
 
 def test_tune_collinear_not_found_without_birefringence():
     assert tune_collinear(equal_sets_config()) is None
+
+
+def test_tune_collinear_matches_bisection(bbo):
+    def f(theta):
+        return delta0(bbo.replace(tuning_angle=theta))
+
+    lo, hi = 1e-9, math.pi / 2 - 1e-9
+    assert f(lo) < 0.0 < f(hi)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        lo, hi = (mid, hi) if f(mid) < 0.0 else (lo, mid)
+    assert abs(tune_collinear(bbo) - 0.5 * (lo + hi)) <= 1e-12
+
+
+def test_tune_collinear_not_found_with_swapped_index_sets():
+    # positive uniaxial: n_e > n_o at the pump, so sin^2(theta) < 0
+    swapped = CrystalConfig(
+        sellmeier_ordinary=KATO_BBO_EXTRAORDINARY,
+        sellmeier_extraordinary=KATO_BBO_ORDINARY,
+    )
+    assert tune_collinear(swapped) is None
+
+
+def test_delta_pw_evanescent_raises(bbo):
+    ks = float(signal_wavenumber(1e14, bbo))
+    with pytest.raises(EvanescentError):
+        delta_pw(1.01 * ks, 1e14, bbo)
+    with pytest.raises(EvanescentError) as err:
+        delta_pw(np.array([1e5, 1.01 * ks]), 1e14, bbo)
+    assert err.value.q == 1.01 * ks
+    assert err.value.omega_shift == 1e14
+
+
+def test_delta_full_evanescent_raises(bbo, noncollinear):
+    ks = float(signal_wavenumber(0.0, bbo))
+    zero = FourierCoord(0.0, 0.0, 0.0)
+    with pytest.raises(EvanescentError) as err:
+        delta_full(zero, FourierCoord(1.01 * ks, 0.0, 0.0), bbo)
+    assert err.value.q == 1.01 * ks
+    # both photons propagate, their summed q lies past the 28 deg pump cone
+    w = FourierCoord(0.999 * ks, 0.0, 0.0)
+    with pytest.raises(EvanescentError) as err:
+        delta_full(w, w, noncollinear)
+    assert err.value.k == pytest.approx(pump_wavenumber(noncollinear), rel=1e-15)
 
 
 def test_classical_separation_degenerate_pair(collinear):
