@@ -299,6 +299,7 @@ def cmd_schmidt_sweep(rc: RunConfig, outdir: Path, tracker) -> dict:
         "kernel_metadata": [
             est.kernel_metadata if est else None for est in sweep.estimates[:3]
         ],
+        "cells": sweep.cell_diagnostics(),
     }
     _write_json(outdir / "sweep_meta.json", meta, tracker)
     _write_text(outdir / "plot_sweep.py", _SWEEP_PLOT_SCRIPT, tracker)

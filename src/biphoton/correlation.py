@@ -19,10 +19,10 @@ import numpy as np
 
 from .dispersion import CrystalConfig, signal_wavenumber
 from .phasematch import (
-    EvanescentError,
     FourierCoord,
     delta_full_arrays,
     delta_pw_arrays,
+    evanescent_error,
     solve_q_pm,
     taylor_coefficients,
 )
@@ -90,6 +90,23 @@ def pump_spectral_amplitude(q, omega, pump: PumpConfig):
     return float(out) if out.ndim == 0 else out
 
 
+def biphoton_envelope_arrays(qx1, qy1, om1, qx2, qy2, om2, delta, ok,
+                             pump: PumpConfig):
+    """Real envelope of the biphoton amplitude,
+    g / (2 pi)^1.5 * pump(|q1 + q2|, Omega1 + Omega2) * sinc(Delta/2),
+    zero where ok is False.  The amplitude is this times the unit phase
+    exp(i (k_pz l_c + Delta/2))."""
+    qsum = np.hypot(np.asarray(qx1, float) + qx2, np.asarray(qy1, float) + qy2)
+    omsum = np.asarray(om1, dtype=float) + om2
+    env = (
+        pump.coupling_g
+        / TWO_PI**1.5
+        * pump_spectral_amplitude(qsum, omsum, pump)
+        * sinc(0.5 * delta)
+    )
+    return np.where(ok, env, 0.0)
+
+
 def biphoton_fourier_arrays(qx1, qy1, om1, qx2, qy2, om2,
                             crystal: CrystalConfig, pump: PumpConfig):
     """Vectorized biphoton amplitude; returns (values, propagating_mask).
@@ -98,27 +115,23 @@ def biphoton_fourier_arrays(qx1, qy1, om1, qx2, qy2, om2,
     the physical cutoff of the emission cone.
     """
     delta, kpz, ok = delta_full_arrays(qx1, qy1, om1, qx2, qy2, om2, crystal)
-    qsum = np.hypot(np.asarray(qx1, float) + qx2, np.asarray(qy1, float) + qy2)
-    omsum = np.asarray(om1, dtype=float) + om2
-    amp = (
-        pump.coupling_g
-        / TWO_PI**1.5
-        * pump_spectral_amplitude(qsum, omsum, pump)
-        * np.exp(1j * (kpz * crystal.length_lc + 0.5 * delta))
-        * sinc(0.5 * delta)
-    )
-    return np.where(ok, amp, 0.0 + 0.0j), ok
+    env = biphoton_envelope_arrays(qx1, qy1, om1, qx2, qy2, om2, delta, ok, pump)
+    return env * np.exp(1j * (kpz * crystal.length_lc + 0.5 * delta)), ok
 
 
 def biphoton_fourier(w1: FourierCoord, w2: FourierCoord,
                      crystal: CrystalConfig, pump: PumpConfig):
-    """Biphoton amplitude for one pair of Fourier modes; raises if evanescent."""
+    """Biphoton amplitude for one pair of Fourier modes.
+
+    Scalar form of biphoton_fourier_arrays that raises EvanescentError,
+    naming the mode (photon 1, photon 2 or pump) furthest past its
+    propagating cone.
+    """
     val, ok = biphoton_fourier_arrays(
         w1.qx, w1.qy, w1.omega_shift, w2.qx, w2.qy, w2.omega_shift, crystal, pump
     )
-    if not np.all(ok):
-        ks = float(signal_wavenumber(w1.omega_shift, crystal))
-        raise EvanescentError(math.sqrt(w1.q2 + w2.q2), w1.omega_shift, ks)
+    if not ok:
+        raise evanescent_error(w1, w2, crystal)
     return complex(val)
 
 

@@ -122,11 +122,15 @@ class PhaseMatchCurve:
 
 
 def kz_signal(coord: FourierCoord, config: CrystalConfig):
-    """Longitudinal signal wavevector sqrt(k_s(Omega)^2 - q^2), rad/m."""
-    ks = float(signal_wavenumber(coord.omega_shift, config))
-    if coord.q2 >= ks**2:
+    """Longitudinal signal wavevector sqrt(k_s(Omega)^2 - q^2), rad/m.
+
+    Scalar form of photon_kz_arrays that raises EvanescentError.
+    """
+    kz, ok = photon_kz_arrays(coord.qx, coord.qy, coord.omega_shift, config)
+    if not ok:
+        ks = float(signal_wavenumber(coord.omega_shift, config))
         raise EvanescentError(math.sqrt(coord.q2), coord.omega_shift, ks)
-    return math.sqrt(ks**2 - coord.q2)
+    return float(kz)
 
 
 def delta_pw_arrays(q, omega_shift, config: CrystalConfig):
@@ -180,16 +184,52 @@ def delta_full(w1: FourierCoord, w2: FourierCoord, config: CrystalConfig):
         w1.qx, w1.qy, w1.omega_shift, w2.qx, w2.qy, w2.omega_shift, config
     )
     if not ok:
-        om_p = w1.omega_shift + w2.omega_shift
-        modes = [
-            (math.sqrt(w.q2), w.omega_shift,
-             float(signal_wavenumber(w.omega_shift, config)))
-            for w in (w1, w2)
-        ]
-        modes.append((math.hypot(w1.qx + w2.qx, w1.qy + w2.qy), om_p,
-                      float(pump_wavenumber_at(om_p, config))))
-        raise EvanescentError(*max(modes, key=lambda m: m[0] / m[2]))
+        raise evanescent_error(w1, w2, config)
     return float(delta)
+
+
+def evanescent_error(w1: FourierCoord, w2: FourierCoord, config: CrystalConfig):
+    """EvanescentError naming the mode of the pair (photon 1, photon 2 or
+    the pump) furthest past its propagating cone."""
+    om_p = w1.omega_shift + w2.omega_shift
+    modes = [
+        (math.sqrt(w.q2), w.omega_shift,
+         float(signal_wavenumber(w.omega_shift, config)))
+        for w in (w1, w2)
+    ]
+    modes.append((math.hypot(w1.qx + w2.qx, w1.qy + w2.qy), om_p,
+                  float(pump_wavenumber_at(om_p, config))))
+    return EvanescentError(*max(modes, key=lambda m: m[0] / m[2]))
+
+
+def photon_kz_arrays(qx, qy, om, config: CrystalConfig):
+    """Per-photon step of Delta: (k_sz, propagating) with
+    k_sz = sqrt(k_s(Omega)^2 - q^2); non-propagating entries are flagged
+    False and carry an arbitrary finite k_sz."""
+    kzsq = signal_wavenumber(om, config) ** 2 - qx**2 - qy**2
+    ok = kzsq > 0
+    return np.sqrt(np.where(ok, kzsq, 1.0)), ok
+
+
+def pair_delta_arrays(qx1, qy1, om1, kz1, qx2, qy2, om2, kz2, ok,
+                      config: CrystalConfig):
+    """Pair step of Delta from two photons' coordinates and k_sz.
+
+    ok is the photons' joint propagating mask.  Returns (delta, kpz,
+    propagating) as delta_full_arrays does, walk-off term included.
+    """
+    kp = pump_wavenumber_at(om1 + om2, config)
+    qpx = qx1 + qx2
+    qpy = qy1 + qy2
+    kpzsq = kp**2 - qpx**2 - qpy**2
+    ok = ok & (kpzsq > 0)
+    kpz = np.sqrt(np.where(ok, kpzsq, 1.0))
+    delta = np.where(ok, (kz1 + kz2 - kpz) * config.length_lc, 0.0)
+    if config.pump_walkoff_phase:
+        delta = delta + np.where(
+            ok, pump_walkoff_angle(config) * qpx * config.length_lc, 0.0
+        )
+    return delta, np.where(ok, kpz, 0.0), ok
 
 
 def delta_full_arrays(qx1, qy1, om1, qx2, qy2, om2, config: CrystalConfig):
@@ -206,24 +246,10 @@ def delta_full_arrays(qx1, qy1, om1, qx2, qy2, om2, config: CrystalConfig):
     qx1, qy1, om1, qx2, qy2, om2 = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (qx1, qy1, om1, qx2, qy2, om2))
     )
-    ks1 = signal_wavenumber(om1, config)
-    ks2 = signal_wavenumber(om2, config)
-    kz1sq = ks1**2 - qx1**2 - qy1**2
-    kz2sq = ks2**2 - qx2**2 - qy2**2
-    kp = pump_wavenumber_at(om1 + om2, config)
-    qpx = qx1 + qx2
-    qpy = qy1 + qy2
-    kpzsq = kp**2 - qpx**2 - qpy**2
-    ok = (kz1sq > 0) & (kz2sq > 0) & (kpzsq > 0)
-    kz1 = np.sqrt(np.where(ok, kz1sq, 1.0))
-    kz2 = np.sqrt(np.where(ok, kz2sq, 1.0))
-    kpz = np.sqrt(np.where(ok, kpzsq, 1.0))
-    delta = np.where(ok, (kz1 + kz2 - kpz) * config.length_lc, 0.0)
-    if config.pump_walkoff_phase:
-        delta = delta + np.where(
-            ok, pump_walkoff_angle(config) * qpx * config.length_lc, 0.0
-        )
-    return delta, np.where(ok, kpz, 0.0), ok
+    kz1, ok1 = photon_kz_arrays(qx1, qy1, om1, config)
+    kz2, ok2 = photon_kz_arrays(qx2, qy2, om2, config)
+    return pair_delta_arrays(qx1, qy1, om1, kz1, qx2, qy2, om2, kz2, ok1 & ok2,
+                             config)
 
 
 def delta0(config: CrystalConfig):

@@ -19,20 +19,34 @@ matched to the pump spectrum, dividing out the proposal density, which
 leaves an unbiased estimator whose variance is set by the sinc ridge
 occupancy alone.  Streams are numpy PCG64 generators derived through
 SeedSequence spawning, one per fixed-size lane, reduced in a fixed pairwise
-tree, so results are bit-reproducible for a given (seed, batch) pair.
+tree, so results are bit-reproducible for a given (seed, batch) pair.  A
+lane draws its samples in the calling thread and evaluates its integrand in
+fixed blocks of rows on a thread pool sized to the process's CPUs; each
+block writes only its own rows, so the worker count moves no bit.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .correlation import PumpConfig, biphoton_fourier_arrays
+from .correlation import (
+    PumpConfig,
+    biphoton_envelope_arrays,
+    biphoton_fourier_arrays,
+)
 from .dispersion import CrystalConfig, signal_wavenumber
-from .phasematch import delta0, solve_q_pm, taylor_coefficients
+from .phasematch import (
+    delta0,
+    pair_delta_arrays,
+    photon_kz_arrays,
+    solve_q_pm,
+    taylor_coefficients,
+)
 
 MODELS = ("full3d", "spatial2d", "temporal1d")
 DEFAULT_BATCH = 1 << 19
@@ -40,6 +54,10 @@ RNG_DESCRIPTION = "numpy PCG64, SeedSequence-spawned lane substreams"
 
 MIN_NORM_SAMPLES = 1_000
 MIN_PURITY_SAMPLES = 10_000
+
+# samples (or oracle matrix entries) per evaluation block: small enough that
+# a block's temporaries stay in cache, large enough to amortize numpy calls
+_BLOCK_SAMPLES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -90,6 +108,9 @@ class PdcKernel:
 
     evaluate(W1, W2) takes (n, dim) arrays of one-photon coordinates and
     returns the complex amplitude, zero outside the propagating cone.
+    intensity and purity_integrand give the Monte Carlo integrands |psi|^2
+    and psi(1,2) psi(3,4) psi*(1,4) psi*(3,2) without the per-photon phases,
+    which cancel exactly in both (K is invariant under local unitaries).
     """
 
     def __init__(self, filter: BandwidthFilter, crystal: CrystalConfig,
@@ -169,6 +190,48 @@ class PdcKernel:
         )
         return vals
 
+    def _photon(self, W, second_slot=False):
+        """(qx, qy, Omega, k_sz, propagating) of one photon."""
+        qx, qy, om = self._expand(W)
+        if second_slot and self.model == "temporal1d":
+            qx = -qx  # opposite sides of the emission cone, as in evaluate
+        kz, ok = photon_kz_arrays(qx, qy, om, self.crystal)
+        return qx, qy, om, kz, ok
+
+    def _pair(self, p1, p2):
+        """(real envelope, k_pz) of photon p1 in the first slot and p2 in
+        the second."""
+        qx1, qy1, om1, kz1, ok1 = p1
+        qx2, qy2, om2, kz2, ok2 = p2
+        delta, kpz, ok = pair_delta_arrays(
+            qx1, qy1, om1, kz1, qx2, qy2, om2, kz2, ok1 & ok2, self.crystal
+        )
+        env = biphoton_envelope_arrays(
+            qx1, qy1, om1, qx2, qy2, om2, delta, ok, self.pump
+        )
+        return env, kpz
+
+    def intensity(self, W1, W2):
+        """|evaluate(W1, W2)|^2: the real envelope squared."""
+        env, _ = self._pair(self._photon(W1), self._photon(W2, True))
+        return env * env
+
+    def purity_integrand(self, W1, W2, W3, W4):
+        """psi(1,2) psi(3,4) psi*(1,4) psi*(3,2) up to per-photon phases.
+
+        The phase of psi(i,j) is (k_pz,ij + k_sz,i + k_sz,j) l_c / 2 plus
+        the walk-off term rho (q_ix + q_jx) l_c / 2; every photon appears
+        once conjugated and once not, so only the pump terms survive.
+        """
+        p1, p3 = self._photon(W1), self._photon(W3)
+        p2, p4 = self._photon(W2, True), self._photon(W4, True)
+        e12, k12 = self._pair(p1, p2)
+        e34, k34 = self._pair(p3, p4)
+        e14, k14 = self._pair(p1, p4)
+        e32, k32 = self._pair(p3, p2)
+        phase = 0.5 * self.crystal.length_lc * ((k12 + k34) - (k14 + k32))
+        return (e12 * e34 * e14 * e32) * np.exp(1j * phase)
+
     def proposal_sigmas(self):
         """Per-dimension widths of the pump-matched sum-coordinate proposal."""
         sig_q = 1.0 / self.pump.waist
@@ -193,6 +256,18 @@ class SyntheticKernel:
     def evaluate(self, W1, W2):
         return np.asarray(
             self._fn(np.atleast_2d(W1), np.atleast_2d(W2)), dtype=complex
+        )
+
+    def intensity(self, W1, W2):
+        a = self.evaluate(W1, W2)
+        return a.real**2 + a.imag**2
+
+    def purity_integrand(self, W1, W2, W3, W4):
+        return (
+            self.evaluate(W1, W2)
+            * self.evaluate(W3, W4)
+            * np.conj(self.evaluate(W1, W4))
+            * np.conj(self.evaluate(W3, W2))
         )
 
     def proposal_sigmas(self):
@@ -226,7 +301,12 @@ def restricted_kernel(model, w1, w2, filter: BandwidthFilter,
 
 @dataclass(frozen=True)
 class McEstimate:
-    """One Monte Carlo integral with its standard error and diagnostics."""
+    """One Monte Carlo integral with its standard error and diagnostics.
+
+    accept_frac is the fraction of proposals that land inside the box and
+    ess the Kish effective sample size (sum w)^2 / sum w^2 of the real
+    sample weights.
+    """
 
     value: float
     stderr: float
@@ -236,6 +316,8 @@ class McEstimate:
     lanes: int
     imag_value: float = 0.0
     imag_stderr: float = 0.0
+    accept_frac: float = 1.0
+    ess: float = 0.0
 
 
 def _as_seed_sequence(seed):
@@ -274,26 +356,68 @@ def _inside(W, half):
     return np.all(np.abs(W) <= half, axis=1)
 
 
-def _mc_run(n_samples, seed, batch, lane_fn):
-    """Run lanes, reduce (n, sum_re, sumsq_re, sum_im, sumsq_im), return stats."""
+def _worker_count():
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _for_blocks(n, rows, block):
+    """Call block(i, j) on consecutive row ranges [i, j) of `rows` rows
+    covering range(n).
+
+    Each call fills its own slice of outputs its caller preallocated, so the
+    result does not depend on how the calls are scheduled.  With at least
+    two CPUs and two blocks they run on a thread pool (numpy releases the
+    GIL inside its array loops); otherwise in order.
+    """
+    starts = range(0, n, rows)
+
+    def run(i):
+        block(i, min(i + rows, n))
+
+    workers = min(_worker_count(), len(starts))
+    if workers < 2:
+        for i in starts:
+            run(i)
+        return
+    # imported here: the import costs start-up time of every CLI call
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(run, starts))  # re-raises a block's exception
+
+
+def _mc_run(n_samples, seed, batch, lane_fn, scale, sampler):
+    """Run lanes and reduce their stats in a fixed pairwise tree.
+
+    lane_fn(rng, m) returns the lane's m weighted samples (real or complex)
+    and how many of its proposals landed inside the box.
+    """
     root = _as_seed_sequence(seed)
     sizes = _lane_sizes(int(n_samples), int(batch))
     children = root.spawn(len(sizes))
     rows = []
     for size, child in zip(sizes, children):
         rng = np.random.Generator(np.random.PCG64(child))
-        vals = lane_fn(rng, size)
+        vals, n_in = lane_fn(rng, size)
         re = vals.real
-        im = vals.imag
-        rows.append(
-            (size, re.sum(), (re * re).sum(), im.sum(), (im * im).sum())
-        )
-    n, s_re, ss_re, s_im, ss_im = _pairwise_sum(rows)
-    mean_re = s_re / n
-    mean_im = s_im / n
+        s_im = ss_im = 0.0
+        if np.iscomplexobj(vals):
+            im = vals.imag
+            s_im, ss_im = im.sum(), (im * im).sum()
+        rows.append((size, re.sum(), (re * re).sum(), s_im, ss_im, n_in))
+    n, s_re, ss_re, s_im, ss_im, n_in = _pairwise_sum(rows)
     var_re = max(ss_re - s_re * s_re / n, 0.0) / max(n - 1, 1)
     var_im = max(ss_im - s_im * s_im / n, 0.0) / max(n - 1, 1)
-    return mean_re, math.sqrt(var_re / n), mean_im, math.sqrt(var_im / n), len(sizes)
+    return McEstimate(
+        value=scale * (s_re / n), stderr=scale * math.sqrt(var_re / n),
+        n_samples=int(n_samples), sampler=sampler, batch=int(batch),
+        lanes=len(sizes),
+        imag_value=scale * (s_im / n), imag_stderr=scale * math.sqrt(var_im / n),
+        accept_frac=n_in / n, ess=s_re * s_re / ss_re if ss_re > 0 else 0.0,
+    )
 
 
 def mc_norm(filter: BandwidthFilter, crystal: CrystalConfig, pump: PumpConfig,
@@ -314,8 +438,13 @@ def mc_norm(filter: BandwidthFilter, crystal: CrystalConfig, pump: PumpConfig,
         def lane(rng, m):
             W1 = rng.uniform(-half, half, size=(m, kern.dim))
             W2 = rng.uniform(-half, half, size=(m, kern.dim))
-            a = kern.evaluate(W1, W2)
-            return (a.real**2 + a.imag**2).astype(complex)
+            out = np.empty(m)
+
+            def block(i, j):
+                out[i:j] = kern.intensity(W1[i:j], W2[i:j])
+
+            _for_blocks(m, _BLOCK_SAMPLES, block)
+            return out, m
 
     elif sampler == "pump":
         sig = kern.proposal_sigmas()
@@ -324,20 +453,24 @@ def mc_norm(filter: BandwidthFilter, crystal: CrystalConfig, pump: PumpConfig,
         def lane(rng, m):
             W1 = rng.uniform(-half, half, size=(m, kern.dim))
             S = rng.normal(0.0, sig, size=(m, kern.dim))
-            W2 = S - W1
-            ok = _inside(W2, half)
-            a = kern.evaluate(W1, W2)
-            f = (a.real**2 + a.imag**2) / _gauss_density(S, sig)
-            return np.where(ok, f, 0.0).astype(complex)
+            out = np.empty(m)
+            inside = np.empty(m, dtype=bool)
+
+            def block(i, j):
+                w1, s = W1[i:j], S[i:j]
+                W2 = s - w1
+                ok = _inside(W2, half)
+                f = kern.intensity(w1, W2) / _gauss_density(s, sig)
+                out[i:j] = np.where(ok, f, 0.0)
+                inside[i:j] = ok
+
+            _for_blocks(m, _BLOCK_SAMPLES, block)
+            return out, int(np.count_nonzero(inside))
 
     else:
         raise ValueError(f"unknown sampler {sampler!r}")
 
-    mean, err, _, _, lanes = _mc_run(n_samples, seed, batch, lane)
-    return McEstimate(
-        value=scale * mean, stderr=scale * err, n_samples=int(n_samples),
-        sampler=sampler, batch=int(batch), lanes=lanes,
-    )
+    return _mc_run(n_samples, seed, batch, lane, scale, sampler)
 
 
 def mc_purity(filter: BandwidthFilter, crystal: CrystalConfig, pump: PumpConfig,
@@ -362,13 +495,13 @@ def mc_purity(filter: BandwidthFilter, crystal: CrystalConfig, pump: PumpConfig,
 
         def lane(rng, m):
             Ws = [rng.uniform(-half, half, size=(m, kern.dim)) for _ in range(4)]
-            w1, w2, w3, w4 = Ws
-            return (
-                kern.evaluate(w1, w2)
-                * kern.evaluate(w3, w4)
-                * np.conj(kern.evaluate(w1, w4))
-                * np.conj(kern.evaluate(w3, w2))
-            )
+            out = np.empty(m, dtype=complex)
+
+            def block(i, j):
+                out[i:j] = kern.purity_integrand(*(W[i:j] for W in Ws))
+
+            _for_blocks(m, _BLOCK_SAMPLES, block)
+            return out, m
 
     elif sampler == "pump":
         # sum-coordinate proposal: w2 = a - w1, w4 = b - w1, w3 = w1 - b + c
@@ -382,32 +515,31 @@ def mc_purity(filter: BandwidthFilter, crystal: CrystalConfig, pump: PumpConfig,
             A = rng.normal(0.0, sig, size=(m, kern.dim))
             B = rng.normal(0.0, sig, size=(m, kern.dim))
             C = rng.normal(0.0, sig, size=(m, kern.dim))
-            W2 = A - W1
-            W4 = B - W1
-            W3 = W1 - B + C
-            ok = _inside(W2, half) & _inside(W3, half) & _inside(W4, half)
-            dens = (
-                _gauss_density(A, sig)
-                * _gauss_density(B, sig)
-                * _gauss_density(C, sig)
-            )
-            g = (
-                kern.evaluate(W1, W2)
-                * kern.evaluate(W3, W4)
-                * np.conj(kern.evaluate(W1, W4))
-                * np.conj(kern.evaluate(W3, W2))
-            ) / dens
-            return np.where(ok, g, 0.0)
+            out = np.empty(m, dtype=complex)
+            inside = np.empty(m, dtype=bool)
+
+            def block(i, j):
+                w1, a, b, c = W1[i:j], A[i:j], B[i:j], C[i:j]
+                W2 = a - w1
+                W4 = b - w1
+                W3 = w1 - b + c
+                ok = _inside(W2, half) & _inside(W3, half) & _inside(W4, half)
+                dens = (
+                    _gauss_density(a, sig)
+                    * _gauss_density(b, sig)
+                    * _gauss_density(c, sig)
+                )
+                g = kern.purity_integrand(w1, W2, W3, W4) / dens
+                out[i:j] = np.where(ok, g, 0.0)
+                inside[i:j] = ok
+
+            _for_blocks(m, _BLOCK_SAMPLES, block)
+            return out, int(np.count_nonzero(inside))
 
     else:
         raise ValueError(f"unknown sampler {sampler!r}")
 
-    mean, err, im_mean, im_err, lanes = _mc_run(n_samples, seed, batch, lane)
-    return McEstimate(
-        value=scale * mean, stderr=scale * err, n_samples=int(n_samples),
-        sampler=sampler, batch=int(batch), lanes=lanes,
-        imag_value=scale * im_mean, imag_stderr=scale * im_err,
-    )
+    return _mc_run(n_samples, seed, batch, lane, scale, sampler)
 
 
 @dataclass(frozen=True)
@@ -430,6 +562,8 @@ class SchmidtEstimate:
     b_imag: float = 0.0
     b_imag_stderr: float = 0.0
     kernel_metadata: dict = field(default_factory=dict)
+    norm_estimate: Optional[McEstimate] = None
+    purity_estimate: Optional[McEstimate] = None
 
 
 def schmidt_number(filter: BandwidthFilter, crystal: CrystalConfig,
@@ -461,6 +595,7 @@ def schmidt_number(filter: BandwidthFilter, crystal: CrystalConfig,
         sampler=sampler, rng=RNG_DESCRIPTION, filter=filter,
         b_imag=est_b.imag_value, b_imag_stderr=est_b.imag_stderr,
         kernel_metadata=dict(kern.metadata),
+        norm_estimate=est_n, purity_estimate=est_b,
     )
     if not est_b.value > 0 or not est_n.value > 0:
         return SchmidtEstimate(
@@ -578,12 +713,13 @@ def svd_oracle(filter: BandwidthFilter, crystal: CrystalConfig,
     cellvol = float(np.prod([2.0 * h / n for h, n in zip(half, sizes)]))
 
     M = np.empty((cells, cells), dtype=complex)
-    block = max(1, int(2e6) // cells)
-    for start in range(0, cells, block):
-        stop = min(start + block, cells)
-        W1 = np.repeat(W[start:stop], cells, axis=0)
-        W2 = np.tile(W, (stop - start, 1))
-        M[start:stop] = kern.evaluate(W1, W2).reshape(stop - start, cells)
+
+    def fill(i, j):
+        W1 = np.repeat(W[i:j], cells, axis=0)
+        W2 = np.tile(W, (j - i, 1))
+        M[i:j] = kern.evaluate(W1, W2).reshape(j - i, cells)
+
+    _for_blocks(cells, max(1, _BLOCK_SAMPLES // cells), fill)
 
     k, n, b = _frobenius_schmidt(M)
     return SvdOracle(
@@ -630,6 +766,30 @@ class SweepResult:
             ]
             lines.append(",".join(repr(float(v)) for v in row))
         return "\n".join(lines) + "\n"
+
+    def cell_diagnostics(self) -> list:
+        """One Monte Carlo diagnostics record per cell, in cell order
+        (i_omega * 3 + model_index); a failed cell keeps only its model and
+        omega_max.  b_imag_pull is Im B over its standard error (None when
+        that error is 0)."""
+        records = []
+        for idx, est in enumerate(self.estimates):
+            i, j = divmod(idx, len(MODELS))
+            rec = {"model": MODELS[j], "omega_max": float(self.omega_max[i])}
+            if est is not None:
+                n, b = est.norm_estimate, est.purity_estimate
+                rec.update(
+                    n_samples_norm=est.n_samples_norm,
+                    n_samples_purity=est.n_samples_purity,
+                    accept_frac_norm=n.accept_frac,
+                    accept_frac_purity=b.accept_frac,
+                    ess_norm=n.ess,
+                    ess_purity=b.ess,
+                    b_imag_pull=(est.b_imag / est.b_imag_stderr
+                                 if est.b_imag_stderr > 0 else None),
+                )
+            records.append(rec)
+        return records
 
 
 def bandwidth_sweep(omega_max_list: Sequence[float],

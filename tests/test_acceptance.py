@@ -133,6 +133,7 @@ def test_criterion_5_cigar_geometry(collinear_rc, noncollinear_rc):
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_schmidt_oracle_equivalence(collinear_rc, narrow_pump):
     crystal = collinear_rc.crystal.replace(
         tuning_angle=tune_collinear(collinear_rc.crystal)
@@ -199,6 +200,7 @@ NONCOLLINEAR_SWEEP_OMEGAS = [2.5e13, 5e13, 1e14, 2e14, 3e14]
 SWEEP_SEED = 808
 
 
+@pytest.mark.slow
 def test_criterion_8_factorization_transition(collinear_rc, noncollinear_rc):
     col = _run_transition_sweep(collinear_rc, COLLINEAR_SWEEP_OMEGAS, SWEEP_SEED)
     assert not col.failures
@@ -231,6 +233,7 @@ def test_criterion_8_factorization_transition(collinear_rc, noncollinear_rc):
     )
 
 
+@pytest.mark.slow
 def test_criterion_9_sweep_determinism(collinear_rc):
     s1 = _run_transition_sweep(collinear_rc, COLLINEAR_SWEEP_OMEGAS, SWEEP_SEED)
     s2 = _run_transition_sweep(collinear_rc, COLLINEAR_SWEEP_OMEGAS, SWEEP_SEED)

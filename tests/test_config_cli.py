@@ -201,6 +201,38 @@ def test_cli_sweep_meta_records_kernel_metadata(tmp_path):
     assert set(temporal1d) == {"model", "frozen_q", "frozen_q_taylor"}
 
 
+def test_cli_sweep_meta_records_cell_diagnostics(tmp_path):
+    cfg = _small_cfg(
+        tmp_path,
+        extra=(
+            "\n[filter]\nomega_max_list = 5e13, 2e15\n\n"
+            "[mc]\nn_norm = 2000\nn_purity = 10000\nseed = 4\n"
+        ),
+    )
+    out = tmp_path / "sweep"
+    assert main(["schmidt-sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    meta = json.loads((out / "sweep_meta.json").read_text())
+    cells = meta["cells"]
+    assert [(c["model"], c["omega_max"]) for c in cells] == [
+        (m, om) for om in (5e13, 2e15) for m in ("full3d", "spatial2d", "temporal1d")
+    ]
+    failed = {(i, m) for i, m, _ in meta["failures"]}
+    for idx, cell in enumerate(cells):
+        i = idx // 3
+        if (i, cell["model"]) in failed:
+            continue
+        assert cell["n_samples_norm"] == 2000
+        assert cell["n_samples_purity"] == 10000
+        for lane in ("norm", "purity"):
+            assert 0 < cell[f"accept_frac_{lane}"] <= 1
+            assert 0 < cell[f"ess_{lane}"] <= cell[f"n_samples_{lane}"]
+        assert math.isfinite(cell["b_imag_pull"])
+    # the 2e15 bandwidth leaves the dispersion window: those cells keep only
+    # their coordinates
+    assert set(cells[3]) == {"model", "omega_max"}
+    assert not any("wall" in key for cell in cells for key in cell)
+
+
 def test_cli_seed_and_samples_flags_echoed(tmp_path):
     cfg = _small_cfg(
         tmp_path,

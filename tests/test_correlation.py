@@ -30,6 +30,7 @@ from biphoton.phasematch import (
     solve_q_pm,
     taylor_coefficients,
 )
+from biphoton.dispersion import signal_wavenumber
 
 
 def test_sinc_series_fallback_matches_direct():
@@ -299,3 +300,18 @@ def test_map_intensity_even_under_point_reflection(collinear, pump):
     inten = np.abs(m.psi) ** 2
     core = inten[1:, 1:]  # index n/2 + k <-> n/2 - k pairs exist off the edge
     assert np.allclose(core, core[::-1, ::-1], rtol=1e-8, atol=core.max() * 1e-10)
+
+
+def test_biphoton_fourier_evanescent_names_the_evanescent_photon(bbo, pump):
+    # photon 2 is past its cone; photon 1 and the pump propagate
+    ks_m = float(signal_wavenumber(-1e14, bbo))
+    w1 = FourierCoord(0.0, 0.0, 1e14)
+    w2 = FourierCoord(1.2 * ks_m, 0.0, -1e14)
+    with pytest.raises(EvanescentError) as info:
+        biphoton_fourier(w1, w2, bbo, pump)
+    err = info.value
+    assert err.omega_shift == -1e14
+    assert err.k == pytest.approx(9.296e6, rel=1e-3)
+    assert err.k == ks_m
+    assert "omega_shift = -1.000000e+14" in str(err)
+    assert "k = 9.296" in str(err)

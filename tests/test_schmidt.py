@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -364,3 +365,122 @@ def test_sweep_propagates_non_domain_errors(monkeypatch, collinear, pump):
     filt = BandwidthFilter(q_max=1.2e6, omega_max=5e13)
     with pytest.raises(TypeError, match="bug"):
         bandwidth_sweep([5e13], filt, collinear, pump, (20_000, 60_000), 5)
+
+
+def _four_evaluate_product(kern, W1, W2, W3, W4):
+    """Reference purity integrand from four full complex kernels."""
+    return (
+        kern.evaluate(W1, W2)
+        * kern.evaluate(W3, W4)
+        * np.conj(kern.evaluate(W1, W4))
+        * np.conj(kern.evaluate(W3, W2))
+    )
+
+
+@pytest.mark.parametrize("model", schmidt.MODELS)
+@pytest.mark.parametrize("config", ["collinear", "walkoff", "noncollinear"])
+def test_phase_free_integrands_match_evaluate(request, model, config, narrow_pump):
+    # noncollinear temporal1d freezes q at the emission-ring radius (q != 0)
+    if config == "walkoff":
+        crystal = request.getfixturevalue("collinear").replace(pump_walkoff_phase=True)
+    else:
+        crystal = request.getfixturevalue(config)
+    filt = BandwidthFilter(q_max=1e5, omega_max=5e13, model=model)
+    kern = build_kernel(filt, crystal, narrow_pump)
+    if model == "temporal1d" and config == "noncollinear":
+        assert kern.metadata["frozen_q"] > 0
+    half = filt.half_widths()
+    rng = np.random.default_rng(3)
+    W1, W2, W3, W4 = (rng.uniform(-half, half, size=(4000, kern.dim)) for _ in range(4))
+
+    ref = _four_evaluate_product(kern, W1, W2, W3, W4)
+    fused = kern.purity_integrand(W1, W2, W3, W4)
+    assert np.all(ref != 0)
+    assert np.all(np.abs(fused - ref) <= 1e-10 * np.abs(ref))
+
+    a = kern.evaluate(W1, W2)
+    ref_i = a.real**2 + a.imag**2
+    assert kern.intensity(W1, W2).dtype == float
+    assert np.all(np.abs(kern.intensity(W1, W2) - ref_i) <= 1e-14 * ref_i)
+
+
+def test_phase_free_integrands_vanish_outside_cone(bbo, pump):
+    filt = BandwidthFilter(q_max=1e5, omega_max=5e13)
+    kern = build_kernel(filt, bbo, pump)
+    inside = np.array([[1e4, 0.0, 1e13]])
+    evanescent = np.array([[2e7, 0.0, 0.0]])
+    assert kern.intensity(inside, evanescent)[0] == 0.0
+    assert kern.purity_integrand(inside, inside, evanescent, inside)[0] == 0.0
+
+
+def test_synthetic_kernel_integrands():
+    W = np.array([[0.3], [-1.1]])
+    V = np.array([[0.7], [0.2]])
+    kern = SyntheticKernel(1, lambda A, B: np.exp(1j * A[:, 0] - B[:, 0] ** 2))
+    a = kern.evaluate(W, V)
+    assert np.array_equal(kern.intensity(W, V), a.real**2 + a.imag**2)
+    assert np.array_equal(kern.purity_integrand(W, V, V, W),
+                          _four_evaluate_product(kern, W, V, V, W))
+
+
+def test_block_evaluation_independent_of_worker_count(monkeypatch, collinear,
+                                                      narrow_pump):
+    # one lane of 60000 samples spans four evaluation blocks
+    filt = BandwidthFilter(q_max=1.2e6, omega_max=1e14)
+    f1 = BandwidthFilter(q_max=1e5, omega_max=5e13, model="temporal1d")
+    f3 = BandwidthFilter(q_max=1e5, omega_max=5e13, model="full3d")
+    runs = []
+    switch = sys.getswitchinterval()
+    # 5 workers: more threads than blocks of a lane, and than most hosts'
+    # cores, with frequent thread switches
+    for workers in (1, 2, 5):
+        monkeypatch.setattr(schmidt, "_worker_count", lambda: workers)
+        sys.setswitchinterval(1e-5 if workers == 5 else switch)
+        try:
+            sweep = bandwidth_sweep([5e13, 1.5e14], filt, collinear, narrow_pump,
+                                    (20_000, 60_000), 41)
+            o1 = svd_oracle(f1, collinear, narrow_pump, 256)  # 4 blocks of rows
+            o3 = svd_oracle(f3, collinear, narrow_pump, 6)  # 3 blocks of rows
+        finally:
+            sys.setswitchinterval(switch)
+        runs.append((sweep.to_csv().encode(), sweep.cell_diagnostics(),
+                     o1.k_value, o3.k_value, o3.n_grid, o3.b_grid))
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_block_errors_propagate(monkeypatch):
+    def fail(W1, W2):
+        if np.any(W1[:, 0] > 1.9):
+            raise FloatingPointError("bad block")
+        return np.ones(len(W1))
+
+    monkeypatch.setattr(schmidt, "_worker_count", lambda: 2)
+    with pytest.raises(FloatingPointError, match="bad block"):
+        mc_norm(BOX_1D, None, None, 100_000, 3, sampler="uniform",
+                kernel=SyntheticKernel(1, fail))
+
+
+def test_lane_diagnostics_uniform_constant_kernel():
+    est = mc_norm(BOX_1D, None, None, 5000, 7, sampler="uniform", kernel=CONST,
+                  batch=2048)
+    assert est.accept_frac == 1.0
+    assert est.ess == pytest.approx(5000, rel=1e-12)
+
+
+def test_lane_diagnostics_pump_sampler_accept_fraction(collinear, pump):
+    filt = small_filter()
+    kern = build_kernel(filt, collinear, pump)
+    n, batch = 30_000, 8192
+    est = mc_norm(filt, collinear, pump, n, 12, kernel=kern, batch=batch)
+    # redraw every lane's proposals from the same substreams
+    half, sig = filt.half_widths(), kern.proposal_sigmas()
+    hits = 0
+    for size, child in zip(schmidt._lane_sizes(n, batch),
+                           np.random.SeedSequence(12).spawn(4)):
+        rng = np.random.Generator(np.random.PCG64(child))
+        W1 = rng.uniform(-half, half, size=(size, 1))
+        S = rng.normal(0.0, sig, size=(size, 1))
+        hits += int(np.count_nonzero(np.all(np.abs(S - W1) <= half, axis=1)))
+    assert 0 < hits < n
+    assert est.accept_frac == hits / n
+    assert 0 < est.ess < n
