@@ -13,9 +13,7 @@ from .correlation import (
     correlation_map,
     default_q_extent,
     factorized_correlation,
-    pw_kernel,
     ridge_fit,
-    sinc2_map,
 )
 from .dispersion import (
     CrystalConfig,

@@ -63,20 +63,14 @@ class PumpConfig:
         return self.waist**2 * self.duration / 2**1.5
 
 
-class EvanescentTally:
-    """Counts kernel evaluations that fell outside the propagating cone."""
-
-    def __init__(self):
-        self.count = 0
-
-
 def sinc(x):
     """sin(x)/x with sinc(0) = 1; series below |x| = 1e-4 to dodge cancellation."""
     x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.asarray(np.sin(x) / x)
     small = np.abs(x) < 1e-4
-    safe = np.where(small, 1.0, x)
-    x2 = x * x
-    out = np.where(small, 1.0 - x2 / 6.0 + x2 * x2 / 120.0, np.sin(safe) / safe)
+    x2 = x[small] * x[small]
+    out[small] = 1.0 - x2 / 6.0 + x2 * x2 / 120.0
     return float(out) if out.ndim == 0 else out
 
 
@@ -135,21 +129,13 @@ def biphoton_fourier(w1: FourierCoord, w2: FourierCoord,
     return complex(val)
 
 
-def pw_kernel(q, omega_shift, crystal: CrystalConfig, g,
-              tally: Optional[EvanescentTally] = None):
-    """Plane-wave-pump kernel g * sinc(Delta_pw/2) e^{i Delta_pw/2}.
-
-    Evanescent input returns 0 (and bumps the tally when one is passed):
-    outside the propagating cone the kernel vanishes by physical cutoff.
-    """
-    values, n_evan = pw_kernel_values(q, omega_shift, crystal, g)
-    if tally is not None:
-        tally.count += n_evan
-    return complex(values) if np.ndim(values) == 0 else values
-
-
 def pw_kernel_values(q, omega_shift, crystal: CrystalConfig, g):
-    """Vectorized pw_kernel; returns (values, evanescent_count)."""
+    """Plane-wave-pump kernel g * sinc(Delta_pw/2) e^{i Delta_pw/2} on
+    broadcast (|q|, Omega); returns (values, evanescent_count).
+
+    Evanescent points carry 0: outside the propagating cone the kernel
+    vanishes by physical cutoff.
+    """
     delta, ok = delta_pw_arrays(q, omega_shift, crystal)
     vals = np.where(ok, g * sinc(0.5 * delta) * np.exp(1j * 0.5 * delta), 0.0 + 0.0j)
     return vals, int(np.count_nonzero(~ok))
@@ -253,14 +239,6 @@ def default_q_extent(crystal: CrystalConfig, omega_extent: float, n_q=1024,
     return max(2.0 * q_edge, q_window)
 
 
-def sinc2_map(grid: SpectralGrid, crystal: CrystalConfig):
-    """sinc^2(Delta_pw/2) on (q_x, Omega) with q_y = 0; evanescent cells are 0."""
-    q = grid.qx[:, None]
-    om = grid.omega[None, :]
-    vals, _ = pw_kernel_values(q, om, crystal, 1.0)
-    return np.abs(vals) ** 2
-
-
 @dataclass
 class CorrelationMap:
     """Direct-domain correlation |psi_pw| sampled on (delta_x, delta_t)."""
@@ -276,41 +254,29 @@ class CorrelationMap:
     evanescent_cells: int = 0
 
 
-def _centered_dft(kern, axes_plus, axis_minus):
-    """DFT with e^{+i} along axes_plus and e^{-i} along axis_minus on
-    fftshift-centered grids (even n, zero bin at n/2)."""
-    g = np.fft.ifftshift(kern)
-    for ax in axes_plus:
-        g = np.fft.ifft(g, axis=ax) * kern.shape[ax]
-    g = np.fft.fft(g, axis=axis_minus)
-    return np.fft.fftshift(g)
-
-
 def synthesize_map(kernel_values, grid: SpectralGrid, mode, crystal, pump,
                    warnings=None, evanescent_cells=0) -> CorrelationMap:
-    """Fourier-synthesize a correlation map from sampled kernel values.
+    """Fourier-synthesize a correlation map from kernel values on (q_x, Omega).
 
-    slice2d expects shape (n_q, n_omega); full3d expects
-    (n_q, n_qy, n_omega) and returns the delta_y = 0 plane.
+    kernel_values has shape (n_q, n_omega); the transform runs with e^{+i}
+    along q_x and e^{-i} along Omega on the fftshift-centered axes.  mode
+    (slice2d | full3d) only labels the map: correlation_map hands full3d in
+    already summed over q_y.
     """
-    d = 2 if mode == "slice2d" else 3
+    if mode not in ("slice2d", "full3d"):
+        raise ValueError(f"unknown mode {mode!r}")
     n_q, n_om = grid.n_q, grid.n_omega
+    if np.shape(kernel_values) != (n_q, n_om):
+        raise ValueError(
+            f"kernel_values must have shape {(n_q, n_om)}, got {np.shape(kernel_values)}"
+        )
     ddx = TWO_PI / (n_q * grid.dq)
     ddt = TWO_PI / (n_om * grid.domega)
     delta_x = (np.arange(n_q) - n_q // 2) * ddx
     delta_t = (np.arange(n_om) - n_om // 2) * ddt
-    if mode == "slice2d":
-        psi = _centered_dft(kernel_values, axes_plus=(0,), axis_minus=1)
-        psi *= grid.dq * grid.domega / TWO_PI**2
-    elif mode == "full3d":
-        if grid.qy is None:
-            raise ValueError("full3d mode needs a grid with a qy axis")
-        psi3 = _centered_dft(kernel_values, axes_plus=(0, 1), axis_minus=2)
-        dqy = float(grid.qy[1] - grid.qy[0])
-        psi3 *= grid.dq * dqy * grid.domega / TWO_PI**3
-        psi = psi3[:, len(grid.qy) // 2, :]
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    psi = np.fft.ifft(np.fft.ifftshift(kernel_values), axis=0) * n_q
+    psi = np.fft.fftshift(np.fft.fft(psi, axis=1))
+    psi *= grid.dq * grid.domega / TWO_PI**2
     return CorrelationMap(
         delta_x=delta_x,
         delta_t=delta_t,
@@ -330,12 +296,8 @@ def _resolution_warning(grid: SpectralGrid, crystal: CrystalConfig):
     q_edge = solve_q_pm(om_edge, crystal)
     if math.isnan(q_edge) or q_edge == 0.0:
         return None
-    ks_p = float(signal_wavenumber(om_edge, crystal))
-    ks_m = float(signal_wavenumber(-om_edge, crystal))
-    dDdq = q_edge * crystal.length_lc * (
-        1.0 / math.sqrt(ks_p**2 - q_edge**2) + 1.0 / math.sqrt(ks_m**2 - q_edge**2)
-    )
-    lobe = 4.0 * math.pi / dDdq
+    # d Delta_pw / dq at the root is the arm reach: l_c q (1/k_z+ + 1/k_z-)
+    lobe = 4.0 * math.pi / arm_reach(crystal, om_edge)
     samples = lobe / grid.dq
     if samples < 4.0:
         return (
@@ -350,24 +312,31 @@ def correlation_map(grid: SpectralGrid, crystal: CrystalConfig,
     """Correlation map of the plane-wave-pump kernel over the given grid.
 
     slice2d transforms the (q_x, Omega) section at q_y = 0, which contains
-    the full X / cigar geometry; full3d transforms (q_x, q_y, Omega) and
-    returns the delta_y = 0 plane.  Amplitudes approximate the continuous
-    transform (kernel sums are scaled by dq dOmega / (2 pi)^d).
+    the full X / cigar geometry.  full3d returns the delta_y = 0 plane of
+    the (q_x, q_y, Omega) transform: at delta_y = 0 the q_y integral acts on
+    the kernel alone, so the kernel summed over q_y (times dq_y / 2 pi) goes
+    through the same 2D transform, one q_y row at a time and never as a
+    cube.  The kernel depends on q_y only through |q|, so each distinct
+    |q_y| is evaluated once and weighted by its multiplicity.  Amplitudes
+    approximate the continuous transform (kernel sums are scaled by
+    dq dOmega / (2 pi)^d).
     """
     warn = _resolution_warning(grid, crystal)
     warnings = [warn] if warn else []
     g = pump.coupling_g
+    om = grid.omega[None, :]
     if mode == "slice2d":
-        kern, n_evan = pw_kernel_values(
-            grid.qx[:, None], grid.omega[None, :], crystal, g
-        )
+        kern, n_evan = pw_kernel_values(grid.qx[:, None], om, crystal, g)
     elif mode == "full3d":
         if grid.qy is None:
             raise ValueError("full3d mode needs a grid with a qy axis")
-        q_abs = np.hypot(grid.qx[:, None, None], grid.qy[None, :, None])
-        kern, n_evan = pw_kernel_values(
-            q_abs, grid.omega[None, None, :], crystal, g
-        )
+        kern = np.zeros((grid.n_q, grid.n_omega), dtype=complex)
+        n_evan = 0
+        for qy, count in zip(*np.unique(np.abs(grid.qy), return_counts=True)):
+            row, row_evan = pw_kernel_values(np.hypot(grid.qx, qy)[:, None], om, crystal, g)
+            kern += count * row
+            n_evan += int(count) * row_evan
+        kern *= float(grid.qy[1] - grid.qy[0]) / TWO_PI
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return synthesize_map(

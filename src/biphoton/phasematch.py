@@ -136,12 +136,13 @@ def kz_signal(coord: FourierCoord, config: CrystalConfig):
 def delta_pw_arrays(q, omega_shift, config: CrystalConfig):
     """Vectorized Delta_pw(q, Omega); returns (delta, propagating).
 
-    Points non-propagating at +Omega or -Omega are flagged False and carry
+    q and omega_shift broadcast against each other; the wavenumbers are
+    evaluated on omega_shift's own shape, once per Omega.  Points
+    non-propagating at +Omega or -Omega are flagged False and carry
     delta = 0 (the kernel vanishes outside the propagating cone).
     """
     q = np.asarray(q, dtype=float)
     om = np.asarray(omega_shift, dtype=float)
-    q, om = np.broadcast_arrays(q, om)
     ks_p = signal_wavenumber(om, config)
     ks_m = signal_wavenumber(-om, config)
     kz_p_sq = ks_p**2 - q**2

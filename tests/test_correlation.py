@@ -1,13 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biphoton.config import builtin_config_path, parse_config
 from biphoton.correlation import (
     CorrelationMap,
-    EvanescentTally,
     PumpConfig,
     SpectralGrid,
     arm_reach,
@@ -16,11 +17,9 @@ from biphoton.correlation import (
     default_q_extent,
     factorized_correlation,
     pump_spectral_amplitude,
-    pw_kernel,
     pw_kernel_values,
     ridge_fit,
     sinc,
-    sinc2_map,
     synthesize_map,
 )
 from biphoton.phasematch import (
@@ -38,6 +37,15 @@ def test_sinc_series_fallback_matches_direct():
         assert sinc(x) == pytest.approx(math.sin(x) / x, rel=1e-14)
     assert sinc(0.0) == 1.0
     assert sinc(math.pi) == pytest.approx(0.0, abs=1e-15)
+    # one array mixing zero, series-range and direct-range entries
+    x = np.array([0.0, 1e-5, -5e-5, 9.9e-5, 1e-4, 0.5, math.pi, -20.0, 1e3])
+    out = sinc(x)
+    assert isinstance(sinc(0.0), float) and isinstance(sinc(1e3), float)
+    assert out.shape == x.shape and out[0] == 1.0
+    assert np.array_equal(out, [sinc(float(v)) for v in x])
+    direct = np.array([math.sin(v) / v for v in x[1:]])
+    assert np.allclose(out[1:], direct, rtol=1e-14, atol=1e-15)
+    assert np.array_equal(sinc(x.reshape(3, 3)), out.reshape(3, 3))
 
 
 def test_pump_config_validation():
@@ -103,7 +111,7 @@ def test_pw_kernel_on_curve_modulus(collinear):
     om = 1e14
     q = solve_q_pm(om, collinear)
     g = 1e-3
-    assert abs(pw_kernel(q, om, collinear, g)) == pytest.approx(g, rel=1e-9)
+    assert abs(pw_kernel_values(q, om, collinear, g)[0]) == pytest.approx(g, rel=1e-9)
 
 
 def test_pw_kernel_zero_at_full_lobe(collinear):
@@ -117,18 +125,18 @@ def test_pw_kernel_zero_at_full_lobe(collinear):
             lo = mid
         else:
             hi = mid
-    assert abs(pw_kernel(0.5 * (lo + hi), om, collinear, 1.0)) < 1e-9
+    assert abs(pw_kernel_values(0.5 * (lo + hi), om, collinear, 1.0)[0]) < 1e-9
 
 
 def test_pw_kernel_even_in_omega(bbo):
-    assert pw_kernel(2e5, 7e13, bbo, 1.0) == pw_kernel(2e5, -7e13, bbo, 1.0)
+    assert (pw_kernel_values(2e5, 7e13, bbo, 1.0)[0]
+            == pw_kernel_values(2e5, -7e13, bbo, 1.0)[0])
 
 
 def test_pw_kernel_evanescent_tally(bbo):
-    tally = EvanescentTally()
-    val = pw_kernel(2e7, 0.0, bbo, 1.0, tally=tally)
+    val, n_evan = pw_kernel_values(2e7, 0.0, bbo, 1.0)
     assert val == 0.0
-    assert tally.count == 1
+    assert n_evan == 1
 
 
 def test_spectral_grid_validation():
@@ -142,10 +150,15 @@ def test_spectral_grid_validation():
     assert g.dq == pytest.approx(1.0)
 
 
+def _sinc2_map(grid, crystal):
+    vals, _ = pw_kernel_values(grid.qx[:, None], grid.omega[None, :], crystal, 1.0)
+    return np.abs(vals) ** 2
+
+
 def test_sinc2_map_bounds_and_ridges(collinear, noncollinear):
     coeff = taylor_coefficients(collinear)
     grid = SpectralGrid.centered(256, 3e5, 256, 3e14)
-    m = sinc2_map(grid, collinear)
+    m = _sinc2_map(grid, collinear)
     assert m.shape == (256, 256)
     assert np.all(m >= 0) and np.all(m <= 1.0)
     # ridge rows trace q = slope * |Omega|
@@ -155,7 +168,7 @@ def test_sinc2_map_bounds_and_ridges(collinear, noncollinear):
         assert q_star == pytest.approx(coeff.asymptote_slope * abs(om), abs=2 * grid.dq)
     # noncollinear ridge is a horizontal pair of lines at the ring radius
     grid_n = SpectralGrid.centered(512, 1.5e6, 128, 1e14)
-    m_n = sinc2_map(grid_n, noncollinear)
+    m_n = _sinc2_map(grid_n, noncollinear)
     ring = math.sqrt(coeff.k_s * 419.57 / noncollinear.length_lc)
     for j in (10, 64, 100):
         q_star = abs(grid_n.qx[np.argmax(m_n[:, j])])
@@ -200,6 +213,57 @@ def test_full3d_mode_returns_midplane(collinear, pump):
     # the delta_y = 0 plane keeps the reflection symmetry in delta_x
     inten = np.abs(m3.psi) ** 2
     assert np.allclose(inten[1:, :], inten[1:, :][::-1, :], rtol=1e-8)
+
+
+def _cube_midplane(grid, crystal, g):
+    """Reference full3d map: the delta_y = 0 plane of the 3D transform of
+    the whole (q_x, q_y, Omega) kernel cube."""
+    q_abs = np.hypot(grid.qx[:, None, None], grid.qy[None, :, None])
+    kern, n_evan = pw_kernel_values(q_abs, grid.omega[None, None, :], crystal, g)
+    n_qy = len(grid.qy)
+    cube = np.fft.ifftn(np.fft.ifftshift(kern), axes=(0, 1)) * (grid.n_q * n_qy)
+    cube = np.fft.fftshift(np.fft.fft(cube, axis=2))
+    dqy = grid.qy[1] - grid.qy[0]
+    plane = cube[:, n_qy // 2, :] * (grid.dq * dqy * grid.domega / (2 * math.pi) ** 3)
+    return plane, n_evan
+
+
+@pytest.mark.parametrize("name", ["bbo_collinear", "bbo_noncollinear"])
+def test_full3d_matches_cube_midplane(name):
+    rc = parse_config(builtin_config_path(name))
+    qext = default_q_extent(rc.crystal, 3e14, n_q=64)
+    grid = SpectralGrid.centered(64, qext, 48, 3e14, with_qy=True)
+    m = correlation_map(grid, rc.crystal, rc.pump, mode="full3d")
+    ref, _ = _cube_midplane(grid, rc.crystal, rc.pump.coupling_g)
+    assert m.psi.shape == ref.shape == (64, 48)
+    assert np.max(np.abs(m.psi - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # a grid reaching past the emission cone: the evanescent count is per
+    # cube cell, as for the cube itself
+    grid = SpectralGrid.centered(16, 1.5e7, 8, 3e14, with_qy=True)
+    m = correlation_map(grid, rc.crystal, rc.pump, mode="full3d")
+    _, n_evan = _cube_midplane(grid, rc.crystal, rc.pump.coupling_g)
+    assert m.evanescent_cells == n_evan == 1460
+
+
+def test_full3d_memory_stays_2d(collinear, pump):
+    # the 128 x 128 x 256 cube alone would take 64 MiB of complex128
+    grid = SpectralGrid.centered(128, 4e5, 256, 3e14, with_qy=True)
+    tracemalloc.start()
+    try:
+        m = correlation_map(grid, collinear, pump, mode="full3d")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.psi.shape == (128, 256)
+    assert peak < 16 * 2**20
+
+
+def test_synthesize_map_rejects_unknown_mode_and_cube(bbo, pump):
+    grid = SpectralGrid.centered(8, 1e5, 8, 1e14, with_qy=True)
+    with pytest.raises(ValueError, match="unknown mode"):
+        synthesize_map(np.ones((8, 8), complex), grid, "full4d", bbo, pump)
+    with pytest.raises(ValueError, match="shape"):
+        synthesize_map(np.ones((8, 8, 8), complex), grid, "full3d", bbo, pump)
 
 
 def test_resolution_warning_on_coarse_grid(noncollinear, pump):
