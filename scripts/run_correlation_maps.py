@@ -7,7 +7,7 @@ import argparse
 import json
 from pathlib import Path
 
-from biphoton.cli import main as cli_main
+from biphoton.cli import NO_X_ARMS, main as cli_main
 from biphoton.config import builtin_config_path
 
 
@@ -21,7 +21,9 @@ def run(outroot: Path):
         if code != 0:
             raise SystemExit(code)
         ridge = json.loads((out / "ridge.json").read_text())
-        if ridge["sufficient"]:
+        if NO_X_ARMS in ridge["warnings"]:
+            print(f"{name}: no X arms (the ridge fit is flat: a cigar map)")
+        elif ridge["sufficient"]:
             print(f"{name}: slopes {ridge['slope_plus_s_m']:.4e} / "
                   f"{ridge['slope_minus_s_m']:.4e} s/m, "
                   f"prediction {ridge['predicted_slope_s_m']:.4e} s/m")

@@ -19,6 +19,7 @@ import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from .correlation import (
     correlation_map,
     default_q_extent,
     ridge_fit,
+    ridge_window,
 )
 from .dispersion import group_quantities, index_ordinary, walkoff_metrics
 from .phasematch import (
@@ -45,6 +47,8 @@ from .phasematch import (
 from .schmidt import RNG_DESCRIPTION, BandwidthFilter, bandwidth_sweep
 
 OUTPUT_ENV_VAR = "BIPHOTON_OUT"
+NO_X_ARMS = ("no X arms: the fitted ridge moves by less than one delta_t step "
+             "across the fit window; relative errors omitted")
 
 
 def _json_ready(obj):
@@ -61,15 +65,34 @@ def _json_ready(obj):
     return obj
 
 
-def _write_json(path: Path, payload: dict, tracker):
-    text = json.dumps(_json_ready(payload), indent=2, sort_keys=True)
-    path.write_text(text + "\n")
-    tracker.append(path)
+class _Outputs(list):
+    """The files a command writes, in order, and the seconds spent writing
+    them.  Each path is listed before its file is opened, so a write that
+    fails halfway still leaves the partial file listed for removal."""
+
+    def __init__(self):
+        super().__init__()
+        self.export_s = 0.0
+
+    @contextmanager
+    def open(self, path: Path, mode: str = "w"):
+        self.append(path)
+        t0 = time.perf_counter()
+        try:
+            with open(path, mode) as fh:
+                yield fh
+        finally:
+            self.export_s += time.perf_counter() - t0
 
 
-def _write_text(path: Path, text: str, tracker):
-    path.write_text(text)
-    tracker.append(path)
+def _write_json(path: Path, payload: dict, tracker: _Outputs):
+    with tracker.open(path) as fh:
+        fh.write(json.dumps(_json_ready(payload), indent=2, sort_keys=True) + "\n")
+
+
+def _write_text(path: Path, text: str, tracker: _Outputs):
+    with tracker.open(path) as fh:
+        fh.write(text)
 
 
 def cmd_tune(rc: RunConfig, outdir: Path, tracker) -> dict:
@@ -169,15 +192,16 @@ print("wrote map.png")
 """
 
 
-def _export_map(cmap: CorrelationMap, outdir: Path, tracker, rc: RunConfig):
+def _export_map(cmap: CorrelationMap, outdir: Path, tracker: _Outputs, rc: RunConfig):
     abs2 = np.abs(cmap.psi) ** 2
-    planes = np.stack([abs2, cmap.psi.real, cmap.psi.imag])
-    (outdir / "map.bin").write_bytes(planes.astype("<f8").tobytes())
-    tracker.append(outdir / "map.bin")
+    with tracker.open(outdir / "map.bin", "wb") as fh:
+        # one plane at a time: at most one plane-sized copy (real, imag)
+        for plane in (abs2, cmap.psi.real, cmap.psi.imag):
+            np.ascontiguousarray(plane, dtype="<f8").tofile(fh)
 
     sidecar = {
         "format": "row-major float64 little-endian, planes: abs2, real, imag",
-        "shape": list(planes.shape),
+        "shape": [3, *cmap.psi.shape],
         "axes": {
             "delta_x": {
                 "unit": "m",
@@ -200,15 +224,18 @@ def _export_map(cmap: CorrelationMap, outdir: Path, tracker, rc: RunConfig):
     }
     _write_json(outdir / "map.json", sidecar, tracker)
 
+    # at most 256 x 256 rows "delta_x,delta_t,abs2", formatted with repr; the
+    # per-element work (repr, concatenation) runs in map/join, not in bytecode
     stride_x = max(1, len(cmap.delta_x) // 256)
     stride_t = max(1, len(cmap.delta_t) // 256)
-    rows = ["delta_x_m,delta_t_s,abs2"]
-    for i in range(0, len(cmap.delta_x), stride_x):
-        for j in range(0, len(cmap.delta_t), stride_t):
-            rows.append(
-                f"{float(cmap.delta_x[i])!r},{float(cmap.delta_t[j])!r},{float(abs2[i, j])!r}"
-            )
-    _write_text(outdir / "map.csv", "\n".join(rows) + "\n", tracker)
+    t_cells = [f"{t!r}," for t in cmap.delta_t[::stride_t].tolist()]
+    with tracker.open(outdir / "map.csv") as fh:
+        fh.write("delta_x_m,delta_t_s,abs2\n")
+        for x, row in zip(cmap.delta_x[::stride_x].tolist(),
+                          abs2[::stride_x, ::stride_t].tolist()):
+            fh.write(f"{x!r},"
+                     + f"\n{x!r},".join(map(str.__add__, t_cells, map(repr, row)))
+                     + "\n")
     _write_text(outdir / "plot_map.py", _MAP_PLOT_SCRIPT, tracker)
 
 
@@ -236,15 +263,25 @@ def cmd_correlate(rc: RunConfig, outdir: Path, tracker) -> dict:
         "arm_reach_m": arm_reach(rc.crystal, g.omega_extent),
         "warnings": cmap.warnings,
     }
-    if fit.sufficient and coeff.slope_defined:
+    # a locus that moves by less than one delta_t step across the fit window
+    # is a flat fit of a map without X arms (the non-collinear cigar), not a
+    # slope to compare with the prediction
+    r_core, r_out = ridge_window(cmap)
+    drift = max(abs(fit.slope_plus), abs(fit.slope_minus)) * (r_out - r_core)
+    no_x_arms = fit.sufficient and drift < cmap.delta_t[1] - cmap.delta_t[0]
+    if no_x_arms:
+        report["warnings"] = cmap.warnings + [NO_X_ARMS]
+    elif fit.sufficient and coeff.slope_defined:
         report["relative_error_plus"] = fit.slope_plus / coeff.asymptote_slope - 1.0
         report["relative_error_minus"] = fit.slope_minus / (-coeff.asymptote_slope) - 1.0
     _write_json(outdir / "ridge.json", report, tracker)
-    if fit.sufficient:
+    if not fit.sufficient:
+        print(f"ridge fit: insufficient data ({fit.reason})")
+    elif no_x_arms:
+        print("ridge fit: no X arms (flat ridge locus)")
+    else:
         print(f"ridge slopes {fit.slope_plus:.4e} / {fit.slope_minus:.4e} s/m "
               f"(prediction {coeff.asymptote_slope:.4e})")
-    else:
-        print(f"ridge fit: insufficient data ({fit.reason})")
     return report
 
 
@@ -335,7 +372,7 @@ def _build_parser():
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    t_start = time.time()
+    t_start = time.perf_counter()
     try:
         rc = parse_config(args.config)
     except ConfigError as exc:
@@ -349,10 +386,12 @@ def main(argv=None) -> int:
     if args.samples is not None:
         rc = replace(rc, mc=replace(rc.mc, n_norm=args.samples,
                                     n_purity=args.samples))
+    parse_s = time.perf_counter() - t_start
     outdir = Path(args.out or os.environ.get(OUTPUT_ENV_VAR) or rc.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    tracker: list = []
+    tracker = _Outputs()
+    t_command = time.perf_counter()
     try:
         result = COMMANDS[args.command](rc, outdir, tracker)
     except Exception as exc:
@@ -365,6 +404,7 @@ def main(argv=None) -> int:
                    "command": args.command}, sys.stderr)
         sys.stderr.write("\n")
         return 1
+    command_s = time.perf_counter() - t_command
 
     manifest = {
         "command": args.command,
@@ -380,7 +420,12 @@ def main(argv=None) -> int:
             "numpy": np.__version__,
             "python": sys.version.split()[0],
         },
-        "timings": {"wall_s": time.time() - t_start},
+        "timings": {
+            "parse_s": parse_s,
+            "compute_s": command_s - tracker.export_s,
+            "export_s": tracker.export_s,
+            "wall_s": time.perf_counter() - t_start,
+        },
         "summary": _json_ready(result),
     }
     with open(outdir / "run.json", "w") as fh:

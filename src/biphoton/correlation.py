@@ -402,6 +402,22 @@ def _refine_peak(intensity, axis, i):
     return axis[i]
 
 
+def ridge_window(cmap: CorrelationMap, core_exclusion=None, outer_limit=None):
+    """(r_core, r_out]: the delta_x range whose columns ridge_fit uses.
+
+    The defaults bracket the bright, straight part of the arms, [0.10, 0.42]
+    of the geometric arm reach: beyond ~half the reach only entrance-face
+    births contribute and the peak locus droops.
+    """
+    x_max = float(cmap.delta_x[-1])
+    reach = arm_reach(cmap.crystal, float(np.max(np.abs(cmap.grid.omega))))
+    if core_exclusion is None:
+        core_exclusion = 0.10 * reach if reach > 0 else 0.05 * x_max
+    if outer_limit is None:
+        outer_limit = 0.42 * reach if reach > 0 else 0.45 * x_max
+    return float(core_exclusion), min(float(outer_limit), 0.95 * x_max)
+
+
 def ridge_fit(cmap: CorrelationMap, core_exclusion=None, outer_limit=None,
               min_points=8) -> RidgeFit:
     """Fit straight lines through the |psi_pw|^2 maxima of each time branch.
@@ -409,23 +425,14 @@ def ridge_fit(cmap: CorrelationMap, core_exclusion=None, outer_limit=None,
     Columns between the core-exclusion radius and the outer limit contribute
     one peak in delta_t > 0 and one in delta_t < 0; each branch gets an
     unweighted least-squares line whose intercept absorbs the constant
-    diffraction offset of the arm profile.  The defaults bracket the bright,
-    straight part of the arms, [0.10, 0.42] of the geometric arm reach:
-    beyond ~half the reach only entrance-face births contribute and the
-    peak locus droops.  The map's reflection symmetry makes delta_x < 0
-    columns redundant, so only the positive side is used.
+    diffraction offset of the arm profile (columns from ridge_window).  The
+    map's reflection symmetry makes delta_x < 0 columns redundant, so only
+    the positive side is used.
     """
     x = cmap.delta_x
     t = cmap.delta_t
     inten = np.abs(cmap.psi) ** 2
-    x_max = float(x[-1])
-    reach = arm_reach(cmap.crystal, float(np.max(np.abs(cmap.grid.omega))))
-    if core_exclusion is None:
-        core_exclusion = 0.10 * reach if reach > 0 else 0.05 * x_max
-    if outer_limit is None:
-        outer_limit = 0.42 * reach if reach > 0 else 0.45 * x_max
-    r_core = float(core_exclusion)
-    r_out = min(float(outer_limit), 0.95 * x_max)
+    r_core, r_out = ridge_window(cmap, core_exclusion, outer_limit)
     cols = np.nonzero((x > r_core) & (x <= r_out))[0]
     pos = t > 0
     neg = t < 0

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import biphoton
-from biphoton.cli import main
+from biphoton import cli
+from biphoton.cli import NO_X_ARMS, main
 from biphoton.config import (
     ConfigError,
     builtin_config_path,
@@ -270,6 +271,56 @@ def test_cli_runtime_error_removes_partial_outputs(tmp_path, capsys):
     assert payload["command"] == "pmcurve"
     assert not (out / "pmcurve.csv").exists()
     assert not (out / "run.json").exists()
+
+
+@pytest.mark.parametrize("command, failing", [
+    ("tune", "tune.json"),
+    ("correlate", "map.bin"),
+    ("correlate", "map.csv"),
+])
+def test_cli_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, capsys,
+                                                 command, failing):
+    # the failing write gets a few bytes onto disk before it raises, as a
+    # full disk would
+    def open_then_fail(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        if Path(path).name != failing:
+            return fh
+        with fh:
+            fh.write(b"\0" * 8 if "b" in mode else "{\n")
+        raise OSError(28, "No space left on device", str(path))
+
+    monkeypatch.setattr(cli, "open", open_then_fail, raising=False)
+    out = tmp_path / "out"
+    code = main([command, "--config", str(_small_cfg(tmp_path)), "--out", str(out)])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "OSError"
+    assert list(out.iterdir()) == []
+
+
+def test_cli_run_json_timings(tmp_path):
+    out = tmp_path / "out"
+    assert main(["correlate", "--config", str(_small_cfg(tmp_path)), "--out", str(out)]) == 0
+    timings = json.loads((out / "run.json").read_text())["timings"]
+    parts = ("parse_s", "compute_s", "export_s")
+    assert set(timings) == {*parts, "wall_s"}
+    assert all(timings[k] >= 0 for k in timings)
+    assert sum(timings[k] for k in parts) <= timings["wall_s"]
+
+
+def test_cli_noncollinear_ridge_has_no_x_arms(tmp_path):
+    out = tmp_path / "cigar"
+    assert main(["correlate", "--config", str(NONCOLLINEAR_CFG), "--out", str(out)]) == 0
+    ridge = json.loads((out / "ridge.json").read_text())
+    assert NO_X_ARMS in ridge["warnings"]
+    assert "relative_error_plus" not in ridge
+    assert "relative_error_minus" not in ridge
+    # the collinear X map keeps its relative errors
+    out = tmp_path / "x"
+    assert main(["correlate", "--config", str(_small_cfg(tmp_path)), "--out", str(out)]) == 0
+    ridge = json.loads((out / "ridge.json").read_text())
+    assert NO_X_ARMS not in ridge["warnings"]
+    assert abs(ridge["relative_error_plus"]) < 0.05
 
 
 def test_cli_env_var_output_dir(tmp_path, monkeypatch, capsys):
