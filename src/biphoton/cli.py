@@ -34,7 +34,6 @@ from .correlation import (
     correlation_map,
     default_q_extent,
     ridge_fit,
-    ridge_window,
 )
 from .dispersion import group_quantities, index_ordinary, walkoff_metrics
 from .phasematch import (
@@ -263,13 +262,7 @@ def cmd_correlate(rc: RunConfig, outdir: Path, tracker) -> dict:
         "arm_reach_m": arm_reach(rc.crystal, g.omega_extent),
         "warnings": cmap.warnings,
     }
-    # a locus that moves by less than one delta_t step across the fit window
-    # is a flat fit of a map without X arms (the non-collinear cigar), not a
-    # slope to compare with the prediction
-    r_core, r_out = ridge_window(cmap)
-    drift = max(abs(fit.slope_plus), abs(fit.slope_minus)) * (r_out - r_core)
-    no_x_arms = fit.sufficient and drift < cmap.delta_t[1] - cmap.delta_t[0]
-    if no_x_arms:
+    if fit.flat:
         report["warnings"] = cmap.warnings + [NO_X_ARMS]
     elif fit.sufficient and coeff.slope_defined:
         report["relative_error_plus"] = fit.slope_plus / coeff.asymptote_slope - 1.0
@@ -277,7 +270,7 @@ def cmd_correlate(rc: RunConfig, outdir: Path, tracker) -> dict:
     _write_json(outdir / "ridge.json", report, tracker)
     if not fit.sufficient:
         print(f"ridge fit: insufficient data ({fit.reason})")
-    elif no_x_arms:
+    elif fit.flat:
         print("ridge fit: no X arms (flat ridge locus)")
     else:
         print(f"ridge slopes {fit.slope_plus:.4e} / {fit.slope_minus:.4e} s/m "

@@ -379,7 +379,12 @@ def factorized_correlation(xi_mean, xi_diff, cmap: CorrelationMap,
 
 @dataclass(frozen=True)
 class RidgeFit:
-    """Least-squares slopes of the two intensity ridges of a correlation map."""
+    """Least-squares slopes of the two intensity ridges of a correlation map.
+
+    flat marks a sufficient fit whose locus moves by less than one delta_t
+    step across the fit window: a map without X arms (the non-collinear
+    cigar), not a slope to compare with the prediction.
+    """
 
     slope_plus: float  # s/m
     slope_minus: float  # s/m
@@ -388,6 +393,7 @@ class RidgeFit:
     n_minus: int
     sufficient: bool
     reason: str = ""
+    flat: bool = False
 
 
 def _refine_peak(intensity, axis, i):
@@ -461,6 +467,7 @@ def ridge_fit(cmap: CorrelationMap, core_exclusion=None, outer_limit=None,
         coef = np.polyfit(xa, ta, 1)
         out.append(coef[0])
         resid += float(np.mean((np.polyval(coef, xa) - ta) ** 2))
+    drift = max(abs(out[0]), abs(out[1])) * (r_out - r_core)
     return RidgeFit(
         slope_plus=out[0],
         slope_minus=out[1],
@@ -468,4 +475,5 @@ def ridge_fit(cmap: CorrelationMap, core_exclusion=None, outer_limit=None,
         n_plus=len(pts_plus),
         n_minus=len(pts_minus),
         sufficient=True,
+        flat=bool(drift < t[1] - t[0]),
     )

@@ -15,14 +15,20 @@ Two samplers are available.  "uniform" draws every coordinate uniformly in
 the box; it is exact but useless when the kernel support is a vanishing
 fraction of the box (broad pumps, wide filters).  "pump" keeps photon-1
 coordinates uniform and draws the mode-sum coordinates from Gaussians
-matched to the pump spectrum, dividing out the proposal density, which
-leaves an unbiased estimator whose variance is set by the sinc ridge
-occupancy alone.  Streams are numpy PCG64 generators derived through
-SeedSequence spawning, one per fixed-size lane, reduced in a fixed pairwise
-tree, so results are bit-reproducible for a given (seed, batch) pair.  A
-lane draws its samples in the calling thread and evaluates its integrand in
-fixed blocks of rows on a thread pool sized to the process's CPUs; each
-block writes only its own rows, so the worker count moves no bit.
+matched to the pump spectrum.  Those Gaussians are the pump's own factors,
+so the kernel divides them out in closed form (pump_norm_weight,
+pump_purity_weight) and evaluates only the pump factor no proposal covers;
+the estimator is unbiased and its variance is set by the sinc ridge
+occupancy alone.
+
+Streams are numpy PCG64 generators derived through SeedSequence spawning:
+one child per fixed-size lane of `batch` samples, and one grandchild per
+block of _BLOCK_SAMPLES rows of a lane.  Each block draws its own proposals,
+evaluates them and returns one row of sums; block rows are reduced in a
+fixed pairwise tree per lane and the lane rows in another.  Blocks run on a
+thread pool sized to the process's CPUs, and since no block touches another
+block's data, results are bit-reproducible for a given (seed, batch) pair
+whatever the worker count.
 """
 
 from __future__ import annotations
@@ -35,9 +41,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .correlation import (
+    TWO_PI,
     PumpConfig,
     biphoton_envelope_arrays,
     biphoton_fourier_arrays,
+    sinc,
 )
 from .dispersion import CrystalConfig, signal_wavenumber
 from .phasematch import (
@@ -50,7 +58,6 @@ from .phasematch import (
 
 MODELS = ("full3d", "spatial2d", "temporal1d")
 DEFAULT_BATCH = 1 << 19
-RNG_DESCRIPTION = "numpy PCG64, SeedSequence-spawned lane substreams"
 
 MIN_NORM_SAMPLES = 1_000
 MIN_PURITY_SAMPLES = 10_000
@@ -58,6 +65,11 @@ MIN_PURITY_SAMPLES = 10_000
 # samples (or oracle matrix entries) per evaluation block: small enough that
 # a block's temporaries stay in cache, large enough to amortize numpy calls
 _BLOCK_SAMPLES = 1 << 14
+
+RNG_DESCRIPTION = (
+    "numpy PCG64 v2: SeedSequence-spawned lane substreams, each spawning "
+    f"one substream per {_BLOCK_SAMPLES}-sample block"
+)
 
 
 @dataclass(frozen=True)
@@ -111,6 +123,9 @@ class PdcKernel:
     intensity and purity_integrand give the Monte Carlo integrands |psi|^2
     and psi(1,2) psi(3,4) psi*(1,4) psi*(3,2) without the per-photon phases,
     which cancel exactly in both (K is invariant under local unitaries).
+    pump_norm_weight and pump_purity_weight are those integrands divided by
+    the pump sampler's proposal density, with the pump Gaussians the
+    proposal matches cancelled in closed form.
     """
 
     def __init__(self, filter: BandwidthFilter, crystal: CrystalConfig,
@@ -144,6 +159,19 @@ class PdcKernel:
             self._q_frozen = q_frozen
         elif self.model == "spatial2d":
             self.metadata["frozen_omega"] = float(filter.fixed_omega_for_2d)
+        # envelope = peak * exp(-|s / sigma|^2 / 4) * sinc, with s the pair's
+        # sum coordinate over the model's axes and sigma = proposal_sigmas();
+        # spatial2d's frozen Omega1 + Omega2 = 2 Omega0 adds a fixed factor
+        peak = pump.coupling_g / TWO_PI**1.5 * pump.spectral_norm
+        if self.model == "spatial2d":
+            peak *= math.exp(
+                -((2.0 * filter.fixed_omega_for_2d * pump.duration) ** 2) / 4.0
+            )
+        # N(0, sigma) gives |env|^2 / density = peak^2 prod(sqrt(2 pi) sigma)
+        # sinc^2, and N(0, sqrt(2) sigma) gives env / density = peak
+        # prod(sqrt(2 pi) sqrt(2) sigma) sinc for each of B's three draws
+        self._norm_fold = peak**2 * _gauss_norm(self.proposal_sigmas())
+        self._purity_fold = (peak * _gauss_norm(self.proposal_sigmas(True))) ** 3
 
     def _validate_box(self):
         f = self.filter
@@ -169,15 +197,14 @@ class PdcKernel:
             )
 
     def _expand(self, W):
-        """Map model coordinates (n, dim) to full (qx, qy, Omega) triples."""
+        """Map model coordinates (n, dim) to (qx, qy, Omega); frozen axes
+        come back as 0-d arrays that broadcast against the others."""
         W = np.atleast_2d(np.asarray(W, dtype=float))
         if self.model == "full3d":
             return W[:, 0], W[:, 1], W[:, 2]
         if self.model == "spatial2d":
-            om = np.full(len(W), self.filter.fixed_omega_for_2d)
-            return W[:, 0], W[:, 1], om
-        zeros = np.zeros(len(W))
-        return np.full(len(W), self._q_frozen), zeros, W[:, 0]
+            return W[:, 0], W[:, 1], np.asarray(self.filter.fixed_omega_for_2d)
+        return np.asarray(self._q_frozen), np.asarray(0.0), W[:, 0]
 
     def evaluate(self, W1, W2):
         qx1, qy1, om1 = self._expand(W1)
@@ -198,18 +225,26 @@ class PdcKernel:
         kz, ok = photon_kz_arrays(qx, qy, om, self.crystal)
         return qx, qy, om, kz, ok
 
+    def _delta(self, p1, p2):
+        """(Delta, k_pz, propagating) of photon p1 in the first slot and p2
+        in the second."""
+        qx1, qy1, om1, kz1, ok1 = p1
+        qx2, qy2, om2, kz2, ok2 = p2
+        return pair_delta_arrays(
+            qx1, qy1, om1, kz1, qx2, qy2, om2, kz2, ok1 & ok2, self.crystal
+        )
+
     def _pair(self, p1, p2):
         """(real envelope, k_pz) of photon p1 in the first slot and p2 in
         the second."""
-        qx1, qy1, om1, kz1, ok1 = p1
-        qx2, qy2, om2, kz2, ok2 = p2
-        delta, kpz, ok = pair_delta_arrays(
-            qx1, qy1, om1, kz1, qx2, qy2, om2, kz2, ok1 & ok2, self.crystal
-        )
-        env = biphoton_envelope_arrays(
-            qx1, qy1, om1, qx2, qy2, om2, delta, ok, self.pump
-        )
+        delta, kpz, ok = self._delta(p1, p2)
+        env = biphoton_envelope_arrays(*p1[:3], *p2[:3], delta, ok, self.pump)
         return env, kpz
+
+    def _sinc(self, p1, p2):
+        """(sinc(Delta/2), zero outside the cone; k_pz) of a pair."""
+        delta, kpz, ok = self._delta(p1, p2)
+        return np.where(ok, sinc(0.5 * delta), 0.0), kpz
 
     def intensity(self, W1, W2):
         """|evaluate(W1, W2)|^2: the real envelope squared."""
@@ -229,18 +264,65 @@ class PdcKernel:
         e34, k34 = self._pair(p3, p4)
         e14, k14 = self._pair(p1, p4)
         e32, k32 = self._pair(p3, p2)
-        phase = 0.5 * self.crystal.length_lc * ((k12 + k34) - (k14 + k32))
-        return (e12 * e34 * e14 * e32) * np.exp(1j * phase)
+        return (e12 * e34 * e14 * e32) * self._pump_phase(k12, k34, k14, k32)
 
-    def proposal_sigmas(self):
-        """Per-dimension widths of the pump-matched sum-coordinate proposal."""
+    def _pump_phase(self, k12, k34, k14, k32):
+        phase = 0.5 * self.crystal.length_lc * ((k12 + k34) - (k14 + k32))
+        return np.exp(1j * phase)
+
+    def pump_norm_weight(self, W1, W2, S):
+        """intensity(W1, W2) over the density of S = W1 + W2 under
+        N(0, proposal_sigmas()).  The squared pump Gaussian at S is that
+        density up to a constant, so only sinc^2(Delta/2) is evaluated."""
+        s, _ = self._sinc(self._photon(W1), self._photon(W2, True))
+        return self._norm_fold * (s * s)
+
+    def pump_purity_weight(self, W1, W2, W3, W4, A, B, C):
+        """purity_integrand(W1, W2, W3, W4) over the density of the sums
+        A = W1 + W2, B = W1 + W4, C = W3 + W4 under N(0,
+        proposal_sigmas(True)) each.  The pumps of pairs (1,2), (1,4) and
+        (3,4) are those densities up to a constant; pair (3,2), whose sum is
+        A - B + C, keeps its pump."""
+        p1, p3 = self._photon(W1), self._photon(W3)
+        p2, p4 = self._photon(W2, True), self._photon(W4, True)
+        s12, k12 = self._sinc(p1, p2)
+        s34, k34 = self._sinc(p3, p4)
+        s14, k14 = self._sinc(p1, p4)
+        e32, k32 = self._pair(p3, p2)
+        return (self._purity_fold * (s12 * s34 * s14 * e32)
+                * self._pump_phase(k12, k34, k14, k32))
+
+    def matrix_rows(self, W):
+        """rows(i, j) -> the rows [i, j) of the amplitude matrix
+        M[a, b] = psi(W[a], W[b]) up to local unitaries: each photon's
+        k_sz and walk-off phases are left out, which moves neither K nor
+        the singular values.  Per-photon terms are computed once per cell."""
+        ph1 = self._photon(W)
+        ph2 = tuple(x[None] if np.ndim(x) else x for x in self._photon(W, True))
+
+        def rows(i, j):
+            p1 = tuple(x[i:j, None] if np.ndim(x) else x for x in ph1)
+            env, kpz = self._pair(p1, ph2)
+            return env * np.exp(1j * (0.5 * self.crystal.length_lc * kpz))
+
+        return rows
+
+    def proposal_sigmas(self, purity=False):
+        """Per-dimension widths of the pump-matched sum-coordinate proposal.
+
+        The norm's sum is drawn with the pump's own Gaussian width; the
+        purity's three sums get sqrt(2)-widened Gaussians, which keep the
+        weight variance finite.
+        """
         sig_q = 1.0 / self.pump.waist
         sig_om = 1.0 / self.pump.duration
         if self.model == "full3d":
-            return np.array([sig_q, sig_q, sig_om])
-        if self.model == "spatial2d":
-            return np.array([sig_q, sig_q])
-        return np.array([sig_om])
+            sig = np.array([sig_q, sig_q, sig_om])
+        elif self.model == "spatial2d":
+            sig = np.array([sig_q, sig_q])
+        else:
+            sig = np.array([sig_om])
+        return sig * math.sqrt(2.0) if purity else sig
 
 
 class SyntheticKernel:
@@ -270,13 +352,31 @@ class SyntheticKernel:
             * np.conj(self.evaluate(W3, W2))
         )
 
-    def proposal_sigmas(self):
+    def pump_norm_weight(self, W1, W2, S):
+        return self.intensity(W1, W2) / _gauss_density(S, self.proposal_sigmas())
+
+    def pump_purity_weight(self, W1, W2, W3, W4, A, B, C):
+        sig = self.proposal_sigmas(True)
+        dens = _gauss_density(A, sig) * _gauss_density(B, sig) * _gauss_density(C, sig)
+        return self.purity_integrand(W1, W2, W3, W4) / dens
+
+    def matrix_rows(self, W):
+        cells = len(W)
+
+        def rows(i, j):
+            W1 = np.repeat(W[i:j], cells, axis=0)
+            W2 = np.tile(W, (j - i, 1))
+            return self.evaluate(W1, W2).reshape(j - i, cells)
+
+        return rows
+
+    def proposal_sigmas(self, purity=False):
         if self._sigmas is None:
             raise ValueError(
                 "synthetic kernel has no pump widths; use sampler='uniform' "
                 "or pass sigmas"
             )
-        return self._sigmas
+        return self._sigmas * math.sqrt(2.0) if purity else self._sigmas
 
 
 def build_kernel(filter: BandwidthFilter, crystal: CrystalConfig,
@@ -346,10 +446,14 @@ def _pairwise_sum(rows):
     return items[0]
 
 
+def _gauss_norm(sigmas):
+    """Normalization prod(sqrt(2 pi) sigma) of an axis-aligned Gaussian."""
+    return float(np.prod(np.sqrt(2.0 * math.pi) * sigmas))
+
+
 def _gauss_density(S, sigmas):
     z = S / sigmas
-    norm = np.prod(np.sqrt(2.0 * math.pi) * sigmas)
-    return np.exp(-0.5 * np.sum(z * z, axis=1)) / norm
+    return np.exp(-0.5 * np.sum(z * z, axis=1)) / _gauss_norm(sigmas)
 
 
 def _inside(W, half):
@@ -363,52 +467,56 @@ def _worker_count():
     return os.cpu_count() or 1
 
 
-def _for_blocks(n, rows, block):
-    """Call block(i, j) on consecutive row ranges [i, j) of `rows` rows
-    covering range(n).
+def _map(fn, items):
+    """[fn(x) for x in items], in order.
 
-    Each call fills its own slice of outputs its caller preallocated, so the
-    result does not depend on how the calls are scheduled.  With at least
-    two CPUs and two blocks they run on a thread pool (numpy releases the
-    GIL inside its array loops); otherwise in order.
+    With at least two CPUs and two items the calls run on a thread pool
+    (numpy releases the GIL inside its array loops).  Each call must write
+    only its own outputs, so the result does not depend on scheduling.
     """
-    starts = range(0, n, rows)
-
-    def run(i):
-        block(i, min(i + rows, n))
-
-    workers = min(_worker_count(), len(starts))
+    items = list(items)
+    workers = min(_worker_count(), len(items))
     if workers < 2:
-        for i in starts:
-            run(i)
-        return
+        return [fn(x) for x in items]
     # imported here: the import costs start-up time of every CLI call
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(run, starts))  # re-raises a block's exception
+        return list(pool.map(fn, items))  # re-raises a call's exception
 
 
-def _mc_run(n_samples, seed, batch, lane_fn, scale, sampler):
-    """Run lanes and reduce their stats in a fixed pairwise tree.
+def _mc_run(n_samples, seed, batch, block_fn, scale, sampler):
+    """Run lanes of blocks and reduce their stats in fixed pairwise trees.
 
-    lane_fn(rng, m) returns the lane's m weighted samples (real or complex)
-    and how many of its proposals landed inside the box.
+    Lane l draws from child l of the seed, and block k of a lane from child
+    k of the lane's stream, _BLOCK_SAMPLES rows per block.  block_fn(rng, m)
+    draws m proposals from rng and returns their weights (real or complex)
+    and how many of them landed inside the box.  Every block reduces its
+    weights to one stats row; a lane's rows and then the lanes' rows are
+    summed pairwise.
     """
     root = _as_seed_sequence(seed)
     sizes = _lane_sizes(int(n_samples), int(batch))
-    children = root.spawn(len(sizes))
-    rows = []
-    for size, child in zip(sizes, children):
-        rng = np.random.Generator(np.random.PCG64(child))
-        vals, n_in = lane_fn(rng, size)
+    blocks, counts = [], []
+    for size, child in zip(sizes, root.spawn(len(sizes))):
+        ms = _lane_sizes(size, _BLOCK_SAMPLES)
+        blocks += zip(ms, child.spawn(len(ms)))
+        counts.append(len(ms))
+
+    def stats(block):
+        m, stream = block
+        vals, n_in = block_fn(np.random.Generator(np.random.PCG64(stream)), m)
         re = vals.real
         s_im = ss_im = 0.0
         if np.iscomplexobj(vals):
             im = vals.imag
             s_im, ss_im = im.sum(), (im * im).sum()
-        rows.append((size, re.sum(), (re * re).sum(), s_im, ss_im, n_in))
-    n, s_re, ss_re, s_im, ss_im, n_in = _pairwise_sum(rows)
+        return (m, re.sum(), (re * re).sum(), s_im, ss_im, n_in)
+
+    rows = _map(stats, blocks)
+    bounds = np.cumsum([0] + counts)
+    lanes = [_pairwise_sum(rows[i:j]) for i, j in zip(bounds[:-1], bounds[1:])]
+    n, s_re, ss_re, s_im, ss_im, n_in = _pairwise_sum(lanes)
     var_re = max(ss_re - s_re * s_re / n, 0.0) / max(n - 1, 1)
     var_im = max(ss_im - s_im * s_im / n, 0.0) / max(n - 1, 1)
     return McEstimate(
@@ -435,42 +543,27 @@ def mc_norm(filter: BandwidthFilter, crystal: CrystalConfig, pump: PumpConfig,
     if sampler == "uniform":
         scale = volume**2
 
-        def lane(rng, m):
+        def block(rng, m):
             W1 = rng.uniform(-half, half, size=(m, kern.dim))
             W2 = rng.uniform(-half, half, size=(m, kern.dim))
-            out = np.empty(m)
-
-            def block(i, j):
-                out[i:j] = kern.intensity(W1[i:j], W2[i:j])
-
-            _for_blocks(m, _BLOCK_SAMPLES, block)
-            return out, m
+            return kern.intensity(W1, W2), m
 
     elif sampler == "pump":
         sig = kern.proposal_sigmas()
         scale = volume
 
-        def lane(rng, m):
+        def block(rng, m):
             W1 = rng.uniform(-half, half, size=(m, kern.dim))
             S = rng.normal(0.0, sig, size=(m, kern.dim))
-            out = np.empty(m)
-            inside = np.empty(m, dtype=bool)
-
-            def block(i, j):
-                w1, s = W1[i:j], S[i:j]
-                W2 = s - w1
-                ok = _inside(W2, half)
-                f = kern.intensity(w1, W2) / _gauss_density(s, sig)
-                out[i:j] = np.where(ok, f, 0.0)
-                inside[i:j] = ok
-
-            _for_blocks(m, _BLOCK_SAMPLES, block)
-            return out, int(np.count_nonzero(inside))
+            W2 = S - W1
+            ok = _inside(W2, half)
+            w = np.where(ok, kern.pump_norm_weight(W1, W2, S), 0.0)
+            return w, int(np.count_nonzero(ok))
 
     else:
         raise ValueError(f"unknown sampler {sampler!r}")
 
-    return _mc_run(n_samples, seed, batch, lane, scale, sampler)
+    return _mc_run(n_samples, seed, batch, block, scale, sampler)
 
 
 def mc_purity(filter: BandwidthFilter, crystal: CrystalConfig, pump: PumpConfig,
@@ -493,53 +586,32 @@ def mc_purity(filter: BandwidthFilter, crystal: CrystalConfig, pump: PumpConfig,
     if sampler == "uniform":
         scale = volume**4
 
-        def lane(rng, m):
+        def block(rng, m):
             Ws = [rng.uniform(-half, half, size=(m, kern.dim)) for _ in range(4)]
-            out = np.empty(m, dtype=complex)
-
-            def block(i, j):
-                out[i:j] = kern.purity_integrand(*(W[i:j] for W in Ws))
-
-            _for_blocks(m, _BLOCK_SAMPLES, block)
-            return out, m
+            return kern.purity_integrand(*Ws), m
 
     elif sampler == "pump":
         # sum-coordinate proposal: w2 = a - w1, w4 = b - w1, w3 = w1 - b + c
-        # puts all four pump arguments (a, c, b, a - b + c) near the pump
-        # peak; sqrt(2)-widened Gaussians keep the weight variance finite.
-        sig = kern.proposal_sigmas() * math.sqrt(2.0)
+        # puts all four pump arguments (a, c, b, a - b + c) near the pump peak
+        sig = kern.proposal_sigmas(True)
         scale = volume
 
-        def lane(rng, m):
+        def block(rng, m):
             W1 = rng.uniform(-half, half, size=(m, kern.dim))
             A = rng.normal(0.0, sig, size=(m, kern.dim))
             B = rng.normal(0.0, sig, size=(m, kern.dim))
             C = rng.normal(0.0, sig, size=(m, kern.dim))
-            out = np.empty(m, dtype=complex)
-            inside = np.empty(m, dtype=bool)
-
-            def block(i, j):
-                w1, a, b, c = W1[i:j], A[i:j], B[i:j], C[i:j]
-                W2 = a - w1
-                W4 = b - w1
-                W3 = w1 - b + c
-                ok = _inside(W2, half) & _inside(W3, half) & _inside(W4, half)
-                dens = (
-                    _gauss_density(a, sig)
-                    * _gauss_density(b, sig)
-                    * _gauss_density(c, sig)
-                )
-                g = kern.purity_integrand(w1, W2, W3, W4) / dens
-                out[i:j] = np.where(ok, g, 0.0)
-                inside[i:j] = ok
-
-            _for_blocks(m, _BLOCK_SAMPLES, block)
-            return out, int(np.count_nonzero(inside))
+            W2 = A - W1
+            W4 = B - W1
+            W3 = W1 - B + C
+            ok = _inside(W2, half) & _inside(W3, half) & _inside(W4, half)
+            g = kern.pump_purity_weight(W1, W2, W3, W4, A, B, C)
+            return np.where(ok, g, 0.0), int(np.count_nonzero(ok))
 
     else:
         raise ValueError(f"unknown sampler {sampler!r}")
 
-    return _mc_run(n_samples, seed, batch, lane, scale, sampler)
+    return _mc_run(n_samples, seed, batch, block, scale, sampler)
 
 
 @dataclass(frozen=True)
@@ -713,13 +785,14 @@ def svd_oracle(filter: BandwidthFilter, crystal: CrystalConfig,
     cellvol = float(np.prod([2.0 * h / n for h, n in zip(half, sizes)]))
 
     M = np.empty((cells, cells), dtype=complex)
+    rows = kern.matrix_rows(W)
+    step = max(1, _BLOCK_SAMPLES // cells)
 
-    def fill(i, j):
-        W1 = np.repeat(W[i:j], cells, axis=0)
-        W2 = np.tile(W, (j - i, 1))
-        M[i:j] = kern.evaluate(W1, W2).reshape(j - i, cells)
+    def fill(i):
+        j = min(i + step, cells)
+        M[i:j] = rows(i, j)
 
-    _for_blocks(cells, max(1, _BLOCK_SAMPLES // cells), fill)
+    _map(fill, range(0, cells, step))
 
     k, n, b = _frobenius_schmidt(M)
     return SvdOracle(

@@ -322,6 +322,19 @@ def test_ridge_fit_noncollinear_flat_or_insufficient(noncollinear, pump):
     assert (not fit.sufficient) or abs(fit.slope_plus) < 0.05 * s
 
 
+@pytest.mark.parametrize("name, flat", [("bbo_noncollinear", True),
+                                        ("bbo_collinear", False)])
+def test_ridge_fit_flags_flat_locus(name, flat):
+    # the bundled cigar map fits slopes of ~1e-26 s/m: sufficient but flat
+    rc = parse_config(builtin_config_path(name))
+    g = rc.grid
+    qext = default_q_extent(rc.crystal, g.omega_extent, n_q=g.n_q)
+    grid = SpectralGrid.centered(g.n_q, qext, g.n_omega, g.omega_extent)
+    fit = ridge_fit(correlation_map(grid, rc.crystal, rc.pump))
+    assert fit.sufficient
+    assert fit.flat is flat
+
+
 def test_ridge_fit_insufficient_data(bbo, pump):
     grid = SpectralGrid.centered(64, 4e5, 64, 3e14)
     fit = ridge_fit(correlation_map(grid, bbo, pump), core_exclusion=1.0)

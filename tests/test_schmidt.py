@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -26,7 +27,8 @@ from biphoton.schmidt import (
 
 BOX_1D = BandwidthFilter(q_max=1.0, omega_max=2.0, model="temporal1d")
 CONST = SyntheticKernel(1, lambda W1, W2: np.ones(len(W1)))
-GAUSS = SyntheticKernel(1, lambda W1, W2: np.exp(-W1[:, 0] ** 2 - W2[:, 0] ** 2))
+GAUSS = SyntheticKernel(1, lambda W1, W2: np.exp(-W1[:, 0] ** 2 - W2[:, 0] ** 2),
+                        sigmas=[1.0])
 
 
 def small_filter():
@@ -84,6 +86,13 @@ def test_rank_one_kernel_gives_unit_schmidt_number():
     assert abs(est.b_value - est.n_value**2) <= 3 * (
         est.b_stderr + 2 * est.n_value * est.n_stderr
     )
+
+
+def test_rank_one_kernel_pump_sampler():
+    # the synthetic kernel divides its integrands by the proposal density
+    est = schmidt_number(BOX_1D, None, None, (50_000, 400_000), 11, kernel=GAUSS)
+    assert est.ok
+    assert abs(est.k_value - 1.0) <= 3 * est.k_stderr
 
 
 def test_rank_one_svd_oracle_exact():
@@ -404,6 +413,58 @@ def test_phase_free_integrands_match_evaluate(request, model, config, narrow_pum
     assert np.all(np.abs(kern.intensity(W1, W2) - ref_i) <= 1e-14 * ref_i)
 
 
+@pytest.mark.parametrize("model, omega0", [
+    ("full3d", 0.0), ("spatial2d", 0.0), ("spatial2d", 1e12), ("temporal1d", 0.0)])
+@pytest.mark.parametrize("config", ["collinear", "walkoff", "noncollinear"])
+def test_folded_pump_weights_match_integrand_over_density(request, model, omega0,
+                                                          config, pump):
+    if config == "walkoff":
+        crystal = request.getfixturevalue("collinear").replace(pump_walkoff_phase=True)
+    else:
+        crystal = request.getfixturevalue(config)
+    filt = BandwidthFilter(q_max=1.2e6, omega_max=1e14, model=model,
+                           fixed_omega_for_2d=omega0)
+    kern = build_kernel(filt, crystal, pump)
+    half, dim = filt.half_widths(), kern.dim
+    rng = np.random.default_rng(11)
+    n = 4000
+    W1 = rng.uniform(-half, half, size=(n, dim))
+    S = rng.normal(0.0, kern.proposal_sigmas(), size=(n, dim))
+    sig = kern.proposal_sigmas(True)
+    A, B, C = (rng.normal(0.0, sig, size=(n, dim)) for _ in range(3))
+    W2, V2, W4, W3 = S - W1, A - W1, B - W1, W1 - B + C
+    if model != "temporal1d":
+        # evanescent photons: zero weights in both forms
+        W2[:50, 0] = V2[:50, 0] = 2e7
+        W3[50:100, 1] = -2e7
+    dens = (schmidt._gauss_density(A, sig) * schmidt._gauss_density(B, sig)
+            * schmidt._gauss_density(C, sig))
+    checks = (
+        (kern.intensity(W1, W2) / schmidt._gauss_density(S, kern.proposal_sigmas()),
+         kern.pump_norm_weight(W1, W2, S)),
+        (kern.purity_integrand(W1, V2, W3, W4) / dens,
+         kern.pump_purity_weight(W1, V2, W3, W4, A, B, C)),
+    )
+    for ref, folded in checks:
+        assert np.array_equal(ref == 0, folded == 0)
+        assert np.count_nonzero(ref) >= n - 100
+        assert np.all(np.abs(folded - ref) <= 1e-12 * np.abs(ref))
+
+
+def test_pump_lane_memory_stays_block_sized(monkeypatch, collinear, pump):
+    # one 2^18-sample lane: the parent's lane-sized draws peaked at 35.6 MiB
+    monkeypatch.setattr(schmidt, "_worker_count", lambda: 2)
+    filt = BandwidthFilter(q_max=1.2e6, omega_max=1.5e14)
+    kern = build_kernel(filt, collinear, pump)
+    tracemalloc.start()
+    try:
+        mc_purity(filt, collinear, pump, 1 << 18, 3, kernel=kern, batch=1 << 18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def test_phase_free_integrands_vanish_outside_cone(bbo, pump):
     filt = BandwidthFilter(q_max=1e5, omega_max=5e13)
     kern = build_kernel(filt, bbo, pump)
@@ -472,15 +533,17 @@ def test_lane_diagnostics_pump_sampler_accept_fraction(collinear, pump):
     kern = build_kernel(filt, collinear, pump)
     n, batch = 30_000, 8192
     est = mc_norm(filt, collinear, pump, n, 12, kernel=kern, batch=batch)
-    # redraw every lane's proposals from the same substreams
+    # redraw every block's proposals from the same per-block substreams
     half, sig = filt.half_widths(), kern.proposal_sigmas()
     hits = 0
     for size, child in zip(schmidt._lane_sizes(n, batch),
                            np.random.SeedSequence(12).spawn(4)):
-        rng = np.random.Generator(np.random.PCG64(child))
-        W1 = rng.uniform(-half, half, size=(size, 1))
-        S = rng.normal(0.0, sig, size=(size, 1))
-        hits += int(np.count_nonzero(np.all(np.abs(S - W1) <= half, axis=1)))
+        sizes = schmidt._lane_sizes(size, schmidt._BLOCK_SAMPLES)
+        for m, grandchild in zip(sizes, child.spawn(len(sizes))):
+            rng = np.random.Generator(np.random.PCG64(grandchild))
+            W1 = rng.uniform(-half, half, size=(m, 1))
+            S = rng.normal(0.0, sig, size=(m, 1))
+            hits += int(np.count_nonzero(np.all(np.abs(S - W1) <= half, axis=1)))
     assert 0 < hits < n
     assert est.accept_frac == hits / n
     assert 0 < est.ess < n
