@@ -152,6 +152,88 @@ def test_svd_oracle_matches_svd_reference_full3d(collinear, narrow_pump):
     )
 
 
+def _crystal(request, config):
+    if config == "walkoff":
+        return request.getfixturevalue("collinear").replace(pump_walkoff_phase=True)
+    return request.getfixturevalue(config)
+
+
+@pytest.mark.parametrize("model", schmidt.MODELS)
+@pytest.mark.parametrize("config", ["collinear", "walkoff", "noncollinear"])
+def test_mirror_axes_leave_matrix_rows_unchanged(request, model, config, narrow_pump):
+    filt = BandwidthFilter(q_max=1e5, omega_max=5e13, model=model)
+    kern = build_kernel(filt, _crystal(request, config), narrow_pump)
+    if model == "temporal1d":
+        assert kern.mirror_axes == ()
+    else:
+        assert kern.mirror_axes == ((1,) if config == "walkoff" else (0, 1))
+    half = filt.half_widths()
+    rng = np.random.default_rng(5)
+    A, B = (rng.uniform(-half, half, size=(40, kern.dim)) for _ in range(2))
+    ref = kern.matrix_rows(A, B)(0, len(A))
+    assert np.all(ref != 0)
+    for d in kern.mirror_axes:
+        flip = np.where(np.arange(kern.dim) == d, -1.0, 1.0)
+        assert np.array_equal(kern.matrix_rows(A * flip, B * flip)(0, len(A)), ref)
+    if config == "walkoff" and model != "temporal1d":
+        flip = np.where(np.arange(kern.dim) == 0, -1.0, 1.0)
+        moved = kern.matrix_rows(A * flip, B * flip)(0, len(A))
+        assert np.max(np.abs(moved - ref)) > 1e-3 * np.max(np.abs(ref))
+
+
+# even grids reduce two axes (one with walk-off); (5, 6, 4) has an odd q_x
+@pytest.mark.parametrize("model, sizes", [
+    ("full3d", (4, 6, 5)), ("spatial2d", (12, 12)), ("full3d", (5, 6, 4))])
+@pytest.mark.parametrize("walkoff", [False, True])
+def test_mirror_block_oracle_matches_dense_reference(collinear, narrow_pump, model,
+                                                     sizes, walkoff):
+    crystal = collinear.replace(pump_walkoff_phase=walkoff)
+    filt = BandwidthFilter(q_max=1e5, omega_max=5e13, model=model)
+    kern = build_kernel(filt, crystal, narrow_pump)
+    reduced = [d for d in kern.mirror_axes if sizes[d] % 2 == 0]
+    assert len(reduced) == (1 if walkoff or sizes[0] % 2 else 2)
+    half = filt.half_widths()
+    axes = [-h + (np.arange(n) + 0.5) * 2 * h / n for h, n in zip(half, sizes)]
+    W = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    cells = len(W)
+    M = kern.evaluate(np.repeat(W, cells, axis=0), np.tile(W, (cells, 1)))
+    M = M.reshape(cells, cells)
+    k_ref, n_ref, b_ref = _svd_reference(M)
+    s_ref = np.linalg.svd(M, compute_uv=False)
+    vol = np.prod(2 * half / sizes)
+
+    orc = svd_oracle(filt, crystal, narrow_pump, sizes, spectrum=True)
+    assert orc.k_value == pytest.approx(k_ref, rel=1e-10)
+    assert orc.n_grid == pytest.approx(n_ref * vol**2, rel=1e-10)
+    assert orc.b_grid == pytest.approx(b_ref * vol**4, rel=1e-10)
+    assert len(orc.singular_values) == cells
+    assert np.all(np.abs(orc.singular_values - s_ref) <= 1e-10 * s_ref[0])
+
+
+def test_mirror_block_oracle_memory_full3d_14(collinear, narrow_pump):
+    # a dense 2744 x 2744 matrix alone is 115 MiB; its four mirror blocks
+    # are 29 MiB together (the dense oracle peaked at 147 MiB)
+    filt = BandwidthFilter(q_max=1e5, omega_max=5e13, model="full3d")
+    tracemalloc.start()
+    try:
+        svd_oracle(filt, collinear, narrow_pump, 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("model, max_cells, grid, suggested", [
+    ("temporal1d", 4096, 4097, 4096), ("spatial2d", 4096, 65, 64),
+    ("full3d", 4096, 17, 16), ("spatial2d", 1000, 32, 31), ("full3d", 999, 10, 9)])
+def test_svd_oracle_suggests_largest_admitted_grid(model, max_cells, grid, suggested):
+    filt = BandwidthFilter(1e5, 5e13, model=model)
+    assert suggested**filt.dim <= max_cells < (suggested + 1) ** filt.dim
+    kern = SyntheticKernel(filt.dim, lambda a, b: np.ones(len(a)))
+    with pytest.raises(ValueError, match=f"try grid_sizes={suggested} per"):
+        svd_oracle(filt, None, None, grid, kernel=kern, max_cells=max_cells)
+
+
 def test_schmidt_from_matrix_maximally_entangled_pair():
     m = np.array([[1.0, 0.0], [0.0, 1.0]]) / math.sqrt(2.0)
     assert schmidt_from_matrix(m) == pytest.approx(2.0, abs=1e-14)
@@ -390,10 +472,7 @@ def _four_evaluate_product(kern, W1, W2, W3, W4):
 @pytest.mark.parametrize("config", ["collinear", "walkoff", "noncollinear"])
 def test_phase_free_integrands_match_evaluate(request, model, config, narrow_pump):
     # noncollinear temporal1d freezes q at the emission-ring radius (q != 0)
-    if config == "walkoff":
-        crystal = request.getfixturevalue("collinear").replace(pump_walkoff_phase=True)
-    else:
-        crystal = request.getfixturevalue(config)
+    crystal = _crystal(request, config)
     filt = BandwidthFilter(q_max=1e5, omega_max=5e13, model=model)
     kern = build_kernel(filt, crystal, narrow_pump)
     if model == "temporal1d" and config == "noncollinear":
@@ -418,10 +497,7 @@ def test_phase_free_integrands_match_evaluate(request, model, config, narrow_pum
 @pytest.mark.parametrize("config", ["collinear", "walkoff", "noncollinear"])
 def test_folded_pump_weights_match_integrand_over_density(request, model, omega0,
                                                           config, pump):
-    if config == "walkoff":
-        crystal = request.getfixturevalue("collinear").replace(pump_walkoff_phase=True)
-    else:
-        crystal = request.getfixturevalue(config)
+    crystal = _crystal(request, config)
     filt = BandwidthFilter(q_max=1.2e6, omega_max=1e14, model=model,
                            fixed_omega_for_2d=omega0)
     kern = build_kernel(filt, crystal, pump)
@@ -501,7 +577,8 @@ def test_block_evaluation_independent_of_worker_count(monkeypatch, collinear,
             sweep = bandwidth_sweep([5e13, 1.5e14], filt, collinear, narrow_pump,
                                     (20_000, 60_000), 41)
             o1 = svd_oracle(f1, collinear, narrow_pump, 256)  # 4 blocks of rows
-            o3 = svd_oracle(f3, collinear, narrow_pump, 6)  # 3 blocks of rows
+            # 8^3: 128 mirror-orbit representative rows, 4 blocks of them
+            o3 = svd_oracle(f3, collinear, narrow_pump, 8)
         finally:
             sys.setswitchinterval(switch)
         runs.append((sweep.to_csv().encode(), sweep.cell_diagnostics(),
