@@ -37,7 +37,6 @@ from .phasematch import (
     classical_separation,
     delta_full,
     delta_pw,
-    kz_signal,
     pm_slope,
     pm_slope_implicit,
     solve_pm_curve,
@@ -54,9 +53,7 @@ from .schmidt import (
     bandwidth_sweep,
     mc_norm,
     mc_purity,
-    restricted_kernel,
     schmidt_from_matrix,
-    schmidt_from_singular_values,
     schmidt_number,
     svd_oracle,
 )

@@ -368,17 +368,17 @@ def main(argv=None) -> int:
     t_start = time.perf_counter()
     try:
         rc = parse_config(args.config)
+        # the overrides re-run McParams' validation
+        if args.seed is not None:
+            rc = replace(rc, mc=replace(rc.mc, seed=args.seed))
+        if args.samples is not None:
+            rc = replace(rc, mc=replace(rc.mc, n_norm=args.samples,
+                                        n_purity=args.samples))
     except ConfigError as exc:
         json.dump({"error": "ConfigError", "message": str(exc),
                    "command": args.command}, sys.stderr)
         sys.stderr.write("\n")
         return 2
-
-    if args.seed is not None:
-        rc = replace(rc, mc=replace(rc.mc, seed=args.seed))
-    if args.samples is not None:
-        rc = replace(rc, mc=replace(rc.mc, n_norm=args.samples,
-                                    n_purity=args.samples))
     parse_s = time.perf_counter() - t_start
     outdir = Path(args.out or os.environ.get(OUTPUT_ENV_VAR) or rc.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)

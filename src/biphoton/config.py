@@ -18,6 +18,7 @@ from .dispersion import (
     KATO_BBO_ORDINARY,
     CrystalConfig,
 )
+from .schmidt import MIN_NORM_SAMPLES, MIN_PURITY_SAMPLES
 
 
 class ConfigError(ValueError):
@@ -85,9 +86,13 @@ class McParams:
     def __post_init__(self):
         if self.sampler not in ("pump", "uniform"):
             raise ConfigError(f"sampler must be pump or uniform, got {self.sampler!r}")
-        for name in ("n_norm", "n_purity", "batch"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive")
+        for name, least in (("n_norm", MIN_NORM_SAMPLES),
+                            ("n_purity", MIN_PURITY_SAMPLES), ("batch", 1)):
+            value = getattr(self, name)
+            if value < least:
+                raise ConfigError(f"{name} must be >= {least}, got {value}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

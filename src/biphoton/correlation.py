@@ -28,6 +28,10 @@ from .phasematch import (
 )
 
 TWO_PI = 2.0 * math.pi
+#: default_q_extent sizes the direct window to span this many arm reaches.
+MAP_WINDOW_REACHES = 2.2
+#: ridge_fit needs at least this many ridge points per time branch.
+RIDGE_MIN_POINTS = 8
 
 
 @dataclass(frozen=True)
@@ -222,20 +226,19 @@ def arm_reach(crystal: CrystalConfig, omega_edge: float):
     )
 
 
-def default_q_extent(crystal: CrystalConfig, omega_extent: float, n_q=1024,
-                     window_factor=2.2):
+def default_q_extent(crystal: CrystalConfig, omega_extent: float, n_q=1024):
     """q half-extent covering the ridge and sizing the direct window.
 
     The extent is the larger of twice the curve reach at the Omega edge
     (full ridge inside the grid) and the value that makes the conjugate
-    window span window_factor arm reaches (so the physical correlation
+    window span MAP_WINDOW_REACHES arm reaches (so the physical correlation
     fills a useful fraction of the map instead of a few central columns).
     """
     q_edge = _curve_edge(crystal, omega_extent)
     if q_edge <= 0:
         raise ValueError("cannot infer a q extent: phase-matching curve is empty")
     reach = arm_reach(crystal, omega_extent)
-    q_window = (n_q / 2) * math.pi / (window_factor * reach) if reach > 0 else 0.0
+    q_window = (n_q / 2) * math.pi / (MAP_WINDOW_REACHES * reach) if reach > 0 else 0.0
     return max(2.0 * q_edge, q_window)
 
 
@@ -424,8 +427,8 @@ def ridge_window(cmap: CorrelationMap, core_exclusion=None, outer_limit=None):
     return float(core_exclusion), min(float(outer_limit), 0.95 * x_max)
 
 
-def ridge_fit(cmap: CorrelationMap, core_exclusion=None, outer_limit=None,
-              min_points=8) -> RidgeFit:
+def ridge_fit(cmap: CorrelationMap, core_exclusion=None,
+              outer_limit=None) -> RidgeFit:
     """Fit straight lines through the |psi_pw|^2 maxima of each time branch.
 
     Columns between the core-exclusion radius and the outer limit contribute
@@ -453,11 +456,11 @@ def ridge_fit(cmap: CorrelationMap, core_exclusion=None, outer_limit=None,
             pts_plus.append((x[ic], _refine_peak(col, t, idx_p)))
         if col[idx_m] > 0:
             pts_minus.append((x[ic], _refine_peak(col, t, idx_m)))
-    if len(pts_plus) < min_points or len(pts_minus) < min_points:
+    if min(len(pts_plus), len(pts_minus)) < RIDGE_MIN_POINTS:
         return RidgeFit(
             math.nan, math.nan, math.nan, len(pts_plus), len(pts_minus),
             sufficient=False,
-            reason=f"fewer than {min_points} ridge points per branch",
+            reason=f"fewer than {RIDGE_MIN_POINTS} ridge points per branch",
         )
     out = []
     resid = 0.0

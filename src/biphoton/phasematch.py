@@ -33,6 +33,11 @@ from .dispersion import (
 #: a phase-matching root is kept only when |Delta_pw| there is at most this
 #: (dimensionless).
 PM_SOLVER_TOL = 1.0e-6
+#: a collinear tuning angle is kept only when |Delta0| there is at most this.
+TUNE_TOL = 1.0e-3
+#: pm_slope re-solves at Omega -/+ this times |Omega| (at Omega = 0: at 0 and
+#: at this times 1e14 rad/s).
+PM_SLOPE_REL_STEP = 1e-5
 
 
 class EvanescentError(ValueError):
@@ -119,18 +124,6 @@ class PhaseMatchCurve:
     @property
     def gap_mask(self):
         return np.isnan(self.q_pm)
-
-
-def kz_signal(coord: FourierCoord, config: CrystalConfig):
-    """Longitudinal signal wavevector sqrt(k_s(Omega)^2 - q^2), rad/m.
-
-    Scalar form of photon_kz_arrays that raises EvanescentError.
-    """
-    kz, ok = photon_kz_arrays(coord.qx, coord.qy, coord.omega_shift, config)
-    if not ok:
-        ks = float(signal_wavenumber(coord.omega_shift, config))
-        raise EvanescentError(math.sqrt(coord.q2), coord.omega_shift, ks)
-    return float(kz)
 
 
 def delta_pw_arrays(q, omega_shift, config: CrystalConfig):
@@ -258,7 +251,7 @@ def delta0(config: CrystalConfig):
     return float(delta_pw(0.0, 0.0, config))
 
 
-def solve_q_pm(omega_shift, config: CrystalConfig, tol=PM_SOLVER_TOL):
+def solve_q_pm(omega_shift, config: CrystalConfig):
     """Root q_pm(Omega) of Delta_pw in closed form; NaN where no root exists.
 
     With a = k_s(Omega), b = k_s(-Omega) and c = k_p, Delta_pw = 0 reads
@@ -267,8 +260,9 @@ def solve_q_pm(omega_shift, config: CrystalConfig, tol=PM_SOLVER_TOL):
     formula on the sides sorted x >= y >= z.  A root exists when
     a + b >= c (Delta_pw(0, Omega) >= 0) and the foot of the height lies
     inside side c, c^2 > |a^2 - b^2| (at equality the root grazes the
-    evanescent bound).  Postcondition: a root with |Delta_pw| > tol becomes
-    NaN.  Accepts scalars or arrays; returns a float for scalar input.
+    evanescent bound).  Postcondition: a root with |Delta_pw| >
+    PM_SOLVER_TOL becomes NaN.  Accepts scalars or arrays; returns a float
+    for scalar input.
     """
     om = np.asarray(omega_shift, dtype=float)
     a = signal_wavenumber(om, config)
@@ -281,11 +275,11 @@ def solve_q_pm(omega_shift, config: CrystalConfig, tol=PM_SOLVER_TOL):
     q = np.where(exists, np.sqrt(np.maximum(area4_sq, 0.0)) / (2.0 * c), np.nan)
     found = ~np.isnan(q)
     resid = delta_pw(q[found], om[found], config)
-    q[found] = np.where(np.abs(resid) <= tol, q[found], np.nan)
+    q[found] = np.where(np.abs(resid) <= PM_SOLVER_TOL, q[found], np.nan)
     return float(q) if q.ndim == 0 else q
 
 
-def pm_slope(omega_shift, config: CrystalConfig, rel_step=1e-5):
+def pm_slope(omega_shift, config: CrystalConfig):
     """dq_pm/dOmega by a symmetric re-solve around omega_shift.
 
     At omega_shift = 0 the collinear curve has a kink; the right-sided
@@ -293,9 +287,9 @@ def pm_slope(omega_shift, config: CrystalConfig, rel_step=1e-5):
     """
     om = float(omega_shift)
     if om == 0.0:
-        pts = np.array([0.0, rel_step * 1e14])
+        pts = np.array([0.0, PM_SLOPE_REL_STEP * 1e14])
     else:
-        h = abs(om) * rel_step
+        h = abs(om) * PM_SLOPE_REL_STEP
         pts = np.array([om - h, om + h])
     q_lo, q_hi = solve_q_pm(pts, config)
     return float((q_hi - q_lo) / (pts[1] - pts[0]))
@@ -352,7 +346,7 @@ def taylor_coefficients(config: CrystalConfig) -> TaylorCoefficients:
     )
 
 
-def tune_collinear(config: CrystalConfig, tol=1e-3):
+def tune_collinear(config: CrystalConfig):
     """Tuning angle where Delta_pw(0, 0) vanishes, or None if none exists.
 
     k_p(theta) = 2 k_s means n_e(theta, lambda_p) = n_o(lambda_s), and the
@@ -360,7 +354,7 @@ def tune_collinear(config: CrystalConfig, tol=1e-3):
     / (n_e(lambda_p)^-2 - n_o(lambda_p)^-2) with principal indices at the
     pump.  None when the crystal has no birefringence at the pump or
     sin^2(theta) falls outside (0, 1); the angle is returned only if
-    |Delta0| there is at most tol.
+    |Delta0| there is at most TUNE_TOL.
     """
     lam_p_um = config.pump_wavelength * 1e6
     n_s = float(index_ordinary(2 * config.pump_wavelength, config))
@@ -373,7 +367,7 @@ def tune_collinear(config: CrystalConfig, tol=1e-3):
     if not 0.0 < sin2 < 1.0:
         return None
     theta = math.asin(math.sqrt(sin2))
-    if abs(delta0(config.replace(tuning_angle=theta))) > tol:
+    if abs(delta0(config.replace(tuning_angle=theta))) > TUNE_TOL:
         return None
     return theta
 
@@ -403,9 +397,7 @@ def classical_separation(
     )
 
 
-def solve_pm_curve(
-    omega_range, n_samples, config: CrystalConfig, tol=PM_SOLVER_TOL
-) -> PhaseMatchCurve:
+def solve_pm_curve(omega_range, n_samples, config: CrystalConfig) -> PhaseMatchCurve:
     """Sample q_pm over an Omega interval with central-difference slopes.
 
     Frequencies with no root are kept as NaN gaps.  The regime tag reads the
@@ -419,7 +411,7 @@ def solve_pm_curve(
     if not om_lo < om_hi:
         raise ValueError(f"empty omega_range {omega_range}")
     omega = np.linspace(om_lo, om_hi, int(n_samples))
-    q = solve_q_pm(omega, config, tol=tol)
+    q = solve_q_pm(omega, config)
 
     # central where both neighbours are roots, else one-sided, NaN in gaps
     valid = ~np.isnan(q)
@@ -458,7 +450,6 @@ def solve_pm_curve(
         slope=slope,
         regime=regime,
         delta0=d0,
-        solver_tol=tol,
         kink_slopes=kink,
     )
 

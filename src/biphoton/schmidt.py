@@ -78,17 +78,15 @@ class BandwidthFilter:
     """Detection box simulating spatial / temporal filters.
 
     model selects the integration space: full3d keeps (q_x, q_y, Omega) per
-    photon, spatial2d keeps (q_x, q_y) with Omega frozen at
-    fixed_omega_for_2d, temporal1d keeps Omega with the transverse
-    coordinate frozen at |q| = fixed_q_for_1d (None: solved q_pm(0), which
-    is 0 for collinear tuning and the emission-ring radius otherwise).
+    photon, spatial2d keeps (q_x, q_y) with Omega frozen at 0, temporal1d
+    keeps Omega with the transverse coordinate frozen at the solved
+    |q| = q_pm(0), which is 0 for collinear tuning and the emission-ring
+    radius otherwise.
     """
 
     q_max: float
     omega_max: float
     model: str = "full3d"
-    fixed_q_for_1d: Optional[float] = None
-    fixed_omega_for_2d: float = 0.0
 
     def __post_init__(self):
         if not self.q_max > 0:
@@ -97,8 +95,6 @@ class BandwidthFilter:
             raise ValueError(f"omega_max must be > 0, got {self.omega_max}")
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
-        if self.fixed_q_for_1d is not None and self.fixed_q_for_1d < 0:
-            raise ValueError("fixed_q_for_1d must be >= 0")
 
     @property
     def dim(self):
@@ -139,18 +135,10 @@ class PdcKernel:
         self.metadata = {"model": self.model}
         self._validate_box()
         if self.model == "temporal1d":
-            if filter.fixed_q_for_1d is not None:
-                q_frozen = float(filter.fixed_q_for_1d)
-            else:
-                q_frozen = solve_q_pm(0.0, crystal)
-                if math.isnan(q_frozen):
-                    q_frozen = 0.0
-            ks0 = float(signal_wavenumber(0.0, crystal))
-            if q_frozen >= ks0:
-                raise ValueError(
-                    f"frozen transverse coordinate {q_frozen:.4e} rad/m is "
-                    f"evanescent (k_s = {ks0:.4e} rad/m)"
-                )
+            # a root is the height sqrt(k_s^2 - k_p^2 / 4) < k_s: propagating
+            q_frozen = solve_q_pm(0.0, crystal)
+            if math.isnan(q_frozen):
+                q_frozen = 0.0
             d0 = delta0(crystal)
             t = taylor_coefficients(crystal)
             self.metadata["frozen_q"] = q_frozen
@@ -159,15 +147,10 @@ class PdcKernel:
             )
             self._q_frozen = q_frozen
         elif self.model == "spatial2d":
-            self.metadata["frozen_omega"] = float(filter.fixed_omega_for_2d)
+            self.metadata["frozen_omega"] = 0.0
         # envelope = peak * exp(-|s / sigma|^2 / 4) * sinc, with s the pair's
-        # sum coordinate over the model's axes and sigma = proposal_sigmas();
-        # spatial2d's frozen Omega1 + Omega2 = 2 Omega0 adds a fixed factor
+        # sum coordinate over the model's axes and sigma = proposal_sigmas()
         peak = pump.coupling_g / TWO_PI**1.5 * pump.spectral_norm
-        if self.model == "spatial2d":
-            peak *= math.exp(
-                -((2.0 * filter.fixed_omega_for_2d * pump.duration) ** 2) / 4.0
-            )
         # N(0, sigma) gives |env|^2 / density = peak^2 prod(sqrt(2 pi) sigma)
         # sinc^2, and N(0, sqrt(2) sigma) gives env / density = peak
         # prod(sqrt(2 pi) sqrt(2) sigma) sinc for each of B's three draws
@@ -188,10 +171,8 @@ class PdcKernel:
             float(signal_wavenumber(-f.omega_max, self.crystal)),
             float(signal_wavenumber(f.omega_max, self.crystal)),
         )
-        q_reach = f.q_max * (math.sqrt(2.0) if f.model != "temporal1d" else 0.0)
-        if f.model == "temporal1d":
-            q_reach = self.filter.fixed_q_for_1d or 0.0
-        if q_reach >= ks_lo:
+        q_reach = f.q_max * math.sqrt(2.0)
+        if f.model != "temporal1d" and q_reach >= ks_lo:
             raise ValueError(
                 f"filter q reach {q_reach:.4e} rad/m exceeds the propagating "
                 f"bound k_s = {ks_lo:.4e} rad/m at the Omega edge"
@@ -204,7 +185,7 @@ class PdcKernel:
         if self.model == "full3d":
             return W[:, 0], W[:, 1], W[:, 2]
         if self.model == "spatial2d":
-            return W[:, 0], W[:, 1], np.asarray(self.filter.fixed_omega_for_2d)
+            return W[:, 0], W[:, 1], np.asarray(0.0)
         return np.asarray(self._q_frozen), np.asarray(0.0), W[:, 0]
 
     def evaluate(self, W1, W2):
@@ -394,26 +375,6 @@ class SyntheticKernel:
         return self._sigmas * math.sqrt(2.0) if purity else self._sigmas
 
 
-def build_kernel(filter: BandwidthFilter, crystal: CrystalConfig,
-                 pump: PumpConfig) -> PdcKernel:
-    return PdcKernel(filter, crystal, pump)
-
-
-def restricted_kernel(model, w1, w2, filter: BandwidthFilter,
-                      crystal: CrystalConfig, pump: PumpConfig):
-    """Amplitude of one coordinate pair in the given restricted model."""
-    filt = replace(filter, model=model)
-    kern = build_kernel(filt, crystal, pump)
-    W1 = np.atleast_1d(np.asarray(w1, dtype=float)).reshape(1, -1)
-    W2 = np.atleast_1d(np.asarray(w2, dtype=float)).reshape(1, -1)
-    if W1.shape[1] != kern.dim or W2.shape[1] != kern.dim:
-        raise ValueError(
-            f"model {model!r} expects {kern.dim} coordinates per photon, "
-            f"got {W1.shape[1]} and {W2.shape[1]}"
-        )
-    return complex(kern.evaluate(W1, W2)[0])
-
-
 @dataclass(frozen=True)
 class McEstimate:
     """One Monte Carlo integral with its standard error and diagnostics.
@@ -554,7 +515,7 @@ def mc_norm(filter: BandwidthFilter, crystal: CrystalConfig, pump: PumpConfig,
     """Monte Carlo estimate of N = int dw1 dw2 |psi|^2 over the filter box."""
     if n_samples < MIN_NORM_SAMPLES:
         raise ValueError(f"n_samples must be >= {MIN_NORM_SAMPLES}")
-    kern = kernel if kernel is not None else build_kernel(filter, crystal, pump)
+    kern = kernel if kernel is not None else PdcKernel(filter, crystal, pump)
     half = filter.half_widths()
     if len(half) != kern.dim:
         raise ValueError("filter dimensionality does not match the kernel")
@@ -597,7 +558,7 @@ def mc_purity(filter: BandwidthFilter, crystal: CrystalConfig, pump: PumpConfig,
     """
     if n_samples < MIN_PURITY_SAMPLES:
         raise ValueError(f"n_samples must be >= {MIN_PURITY_SAMPLES}")
-    kern = kernel if kernel is not None else build_kernel(filter, crystal, pump)
+    kern = kernel if kernel is not None else PdcKernel(filter, crystal, pump)
     half = filter.half_widths()
     if len(half) != kern.dim:
         raise ValueError("filter dimensionality does not match the kernel")
@@ -663,17 +624,12 @@ def schmidt_number(filter: BandwidthFilter, crystal: CrystalConfig,
                    kernel=None, batch=DEFAULT_BATCH) -> SchmidtEstimate:
     """Schmidt number from independently seeded norm and purity runs.
 
-    n_samples is the purity sample count; the cheaper norm integral uses a
-    tenth of it (floored at the norm minimum).  A tuple (n_norm, n_purity)
-    overrides both.  A non-positive purity estimate flags the result as
-    failed rather than raising: it means too few samples for this box.
+    n_samples is the pair (n_norm, n_purity) of sample counts.  A
+    non-positive purity estimate flags the result as failed rather than
+    raising: it means too few samples for this box.
     """
-    if isinstance(n_samples, (tuple, list)):
-        n_norm, n_purity = int(n_samples[0]), int(n_samples[1])
-    else:
-        n_purity = int(n_samples)
-        n_norm = max(MIN_NORM_SAMPLES, n_purity // 10)
-    kern = kernel if kernel is not None else build_kernel(filter, crystal, pump)
+    n_norm, n_purity = (int(n) for n in n_samples)
+    kern = kernel if kernel is not None else PdcKernel(filter, crystal, pump)
     root = _as_seed_sequence(seed)
     seed_n, seed_b = root.spawn(2)
     est_n = mc_norm(filter, crystal, pump, n_norm, seed_n, sampler=sampler,
@@ -701,15 +657,6 @@ def schmidt_number(filter: BandwidthFilter, crystal: CrystalConfig,
         + (est_b.stderr / est_b.value) ** 2
     )
     return SchmidtEstimate(k_value=k, k_stderr=k_err, **common)
-
-
-def schmidt_from_singular_values(sigma):
-    """K = (sum s^2)^2 / sum s^4 from a singular-value spectrum."""
-    s2 = np.asarray(sigma, dtype=float) ** 2
-    total = s2.sum()
-    if total <= 0:
-        raise ValueError("all singular values vanish")
-    return float(total**2 / (s2 * s2).sum())
 
 
 _GRAM_BLOCK = 256
@@ -807,7 +754,7 @@ def svd_oracle(filter: BandwidthFilter, crystal: CrystalConfig,
     entries, the norm cost is cells^3 / 4^r and the SVD holds a second
     copy); exceeding it raises with a suggested grid.
     """
-    kern = kernel if kernel is not None else build_kernel(filter, crystal, pump)
+    kern = kernel if kernel is not None else PdcKernel(filter, crystal, pump)
     half = filter.half_widths()
     if np.isscalar(grid_sizes):
         sizes = (int(grid_sizes),) * kern.dim

@@ -54,6 +54,16 @@ def test_negative_length_names_field(tmp_path):
         parse_config(cfg)
 
 
+# values the Monte Carlo layer would reject only mid-sweep
+@pytest.mark.parametrize("line, field", [
+    ("n_norm = 500", "n_norm"), ("n_purity = 9999", "n_purity"), ("seed = -1", "seed")])
+def test_mc_values_below_the_sampler_minimums_name_field(tmp_path, line, field):
+    cfg = tmp_path / "mc.cfg"
+    cfg.write_text(f"[mc]\n{line}\n")
+    with pytest.raises(ConfigError, match=f"{field} must be >= "):
+        parse_config(cfg)
+
+
 def test_unknown_key_rejected_with_location(tmp_path):
     cfg = tmp_path / "unknown.cfg"
     cfg.write_text("[crystal]\nlenght_mm = 4.0\n")
@@ -257,6 +267,23 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     payload = json.loads(err)
     assert payload["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--samples", "0", "n_norm"), ("--samples", "500", "n_norm"),
+    ("--seed", "-3", "seed")])
+def test_cli_rejected_override_exit_code(tmp_path, capsys, flag, value, field):
+    cfg = _small_cfg(tmp_path, extra="\n[filter]\nomega_max_list = 5e13\n")
+    out = tmp_path / "sweep"
+    code = main(["schmidt-sweep", "--config", str(cfg), "--out", str(out),
+                 flag, value])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    payload = json.loads(err)
+    assert payload["error"] == "ConfigError"
+    assert f"{field} must be >= " in payload["message"]
+    assert not (out / "sweep.csv").exists()
 
 
 def test_cli_runtime_error_removes_partial_outputs(tmp_path, capsys):

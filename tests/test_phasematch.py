@@ -25,7 +25,7 @@ from biphoton.phasematch import (
     delta0,
     delta_full,
     delta_pw,
-    kz_signal,
+    photon_kz_arrays,
     pm_slope,
     pm_slope_implicit,
     solve_pm_curve,
@@ -45,21 +45,19 @@ def equal_sets_config():
 
 def test_kz_on_axis(bbo):
     ks = float(signal_wavenumber(0.0, bbo))
-    assert kz_signal(FourierCoord(0.0, 0.0, 0.0), bbo) == ks
+    kz, ok = photon_kz_arrays(0.0, 0.0, 0.0, bbo)
+    assert ok
+    assert kz == ks
 
 
 def test_kz_half_power_point(bbo):
     ks = float(signal_wavenumber(0.0, bbo))
     q = ks / math.sqrt(2.0)
-    assert kz_signal(FourierCoord(q, 0.0, 0.0), bbo) == pytest.approx(
-        ks / math.sqrt(2.0), rel=1e-12
-    )
-
-
-def test_kz_evanescent_raises(bbo):
-    ks = float(signal_wavenumber(0.0, bbo))
-    with pytest.raises(EvanescentError):
-        kz_signal(FourierCoord(ks * 1.01, 0.0, 0.0), bbo)
+    kz, ok = photon_kz_arrays(q, 0.0, 0.0, bbo)
+    assert ok
+    assert kz == pytest.approx(ks / math.sqrt(2.0), rel=1e-12)
+    # past k_s the mode is flagged evanescent
+    assert not photon_kz_arrays(0.0, ks * 1.01, 0.0, bbo)[1]
 
 
 def test_delta0_noncollinear_matches_reported_value(noncollinear):

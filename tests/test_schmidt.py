@@ -13,14 +13,12 @@ from biphoton.dispersion import WindowError
 from biphoton.phasematch import delta_pw
 from biphoton.schmidt import (
     BandwidthFilter,
+    PdcKernel,
     SyntheticKernel,
     bandwidth_sweep,
-    build_kernel,
     mc_norm,
     mc_purity,
-    restricted_kernel,
     schmidt_from_matrix,
-    schmidt_from_singular_values,
     schmidt_number,
     svd_oracle,
 )
@@ -134,7 +132,7 @@ def test_svd_oracle_matches_svd_reference_full3d(collinear, narrow_pump):
     axes = [-h + (np.arange(n) + 0.5) * 2 * h / n for h, n in zip(half, sizes)]
     W = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
     cells = len(W)
-    kern = build_kernel(filt, collinear, narrow_pump)
+    kern = PdcKernel(filt, collinear, narrow_pump)
     M = kern.evaluate(np.repeat(W, cells, axis=0), np.tile(W, (cells, 1)))
     k_ref, n_ref, b_ref = _svd_reference(M.reshape(cells, cells))
     vol = np.prod(2 * half / sizes)
@@ -162,7 +160,7 @@ def _crystal(request, config):
 @pytest.mark.parametrize("config", ["collinear", "walkoff", "noncollinear"])
 def test_mirror_axes_leave_matrix_rows_unchanged(request, model, config, narrow_pump):
     filt = BandwidthFilter(q_max=1e5, omega_max=5e13, model=model)
-    kern = build_kernel(filt, _crystal(request, config), narrow_pump)
+    kern = PdcKernel(filt, _crystal(request, config), narrow_pump)
     if model == "temporal1d":
         assert kern.mirror_axes == ()
     else:
@@ -189,7 +187,7 @@ def test_mirror_block_oracle_matches_dense_reference(collinear, narrow_pump, mod
                                                      sizes, walkoff):
     crystal = collinear.replace(pump_walkoff_phase=walkoff)
     filt = BandwidthFilter(q_max=1e5, omega_max=5e13, model=model)
-    kern = build_kernel(filt, crystal, narrow_pump)
+    kern = PdcKernel(filt, crystal, narrow_pump)
     reduced = [d for d in kern.mirror_axes if sizes[d] % 2 == 0]
     assert len(reduced) == (1 if walkoff or sizes[0] % 2 else 2)
     half = filt.half_widths()
@@ -242,7 +240,7 @@ def test_schmidt_from_matrix_maximally_entangled_pair():
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=30))
 def test_schmidt_number_bounds_from_singular_values(sigmas):
-    k = schmidt_from_singular_values(sigmas)
+    k = schmidt_from_matrix(np.diag(sigmas))
     assert 1.0 - 1e-9 <= k <= len(sigmas) + 1e-9
 
 
@@ -274,40 +272,37 @@ def test_purity_imaginary_part_vanishes(collinear, narrow_pump):
     assert abs(est.imag_value) <= 3 * max(est.imag_stderr, 1e-300)
 
 
+def _amplitude(model, w1, w2, filt, crystal, pump):
+    """Amplitude of one coordinate pair in the given model's kernel."""
+    kern = PdcKernel(replace(filt, model=model), crystal, pump)
+    return complex(kern.evaluate([w1], [w2])[0])
+
+
 def test_restricted_kernel_2d_equals_3d_at_zero_frequency(collinear, pump):
     filt = BandwidthFilter(q_max=3e5, omega_max=5e13)
     for qx1, qy1, qx2, qy2 in [(1e5, -2e4, -0.9e5, 1e4), (0.0, 0.0, 0.0, 0.0)]:
-        full = restricted_kernel(
+        full = _amplitude(
             "full3d", (qx1, qy1, 0.0), (qx2, qy2, 0.0), filt, collinear, pump
         )
-        flat = restricted_kernel(
-            "spatial2d", (qx1, qy1), (qx2, qy2), filt, collinear, pump
-        )
+        flat = _amplitude("spatial2d", (qx1, qy1), (qx2, qy2), filt, collinear, pump)
         assert full == flat
 
 
 def test_restricted_kernel_1d_collinear_on_curve_maximum(collinear, pump):
     filt = BandwidthFilter(q_max=3e5, omega_max=2e14, model="temporal1d")
     om = 8e13
-    conj = abs(restricted_kernel("temporal1d", (om,), (-om,), filt, collinear, pump))
-    off = abs(restricted_kernel("temporal1d", (om,), (0.6 * om,), filt, collinear, pump))
+    conj = abs(_amplitude("temporal1d", (om,), (-om,), filt, collinear, pump))
+    off = abs(_amplitude("temporal1d", (om,), (0.6 * om,), filt, collinear, pump))
     assert conj > off
 
 
 def test_restricted_kernel_1d_noncollinear_frozen_coordinate(noncollinear, pump):
     filt = BandwidthFilter(q_max=1.2e6, omega_max=2e14, model="temporal1d")
-    kern = build_kernel(filt, noncollinear, pump)
+    kern = PdcKernel(filt, noncollinear, pump)
     q_frozen = kern.metadata["frozen_q"]
     assert abs(delta_pw(q_frozen, 0.0, noncollinear)) < 1e-6
     # quadratic-law estimate recorded alongside, within a percent of the root
     assert kern.metadata["frozen_q_taylor"] == pytest.approx(q_frozen, rel=0.01)
-
-
-def test_kernel_rejects_evanescent_frozen_coordinate(noncollinear, pump):
-    filt = BandwidthFilter(q_max=1e5, omega_max=5e13, model="temporal1d",
-                           fixed_q_for_1d=2e7)
-    with pytest.raises(ValueError, match="evanescent|propagating bound"):
-        build_kernel(filt, noncollinear, pump)
 
 
 def test_svd_oracle_memory_bound():
@@ -335,7 +330,7 @@ def test_mc_matches_svd_oracle_1d(collinear, narrow_pump):
 def test_svd_oracle_invariant_under_fourier_rotation(collinear, narrow_pump):
     # unitary DFT per photon leaves the singular spectrum unchanged
     filt = small_filter()
-    kern = build_kernel(filt, collinear, narrow_pump)
+    kern = PdcKernel(filt, collinear, narrow_pump)
     n = 128
     half = filt.half_widths()
     step = 2 * half[0] / n
@@ -474,7 +469,7 @@ def test_phase_free_integrands_match_evaluate(request, model, config, narrow_pum
     # noncollinear temporal1d freezes q at the emission-ring radius (q != 0)
     crystal = _crystal(request, config)
     filt = BandwidthFilter(q_max=1e5, omega_max=5e13, model=model)
-    kern = build_kernel(filt, crystal, narrow_pump)
+    kern = PdcKernel(filt, crystal, narrow_pump)
     if model == "temporal1d" and config == "noncollinear":
         assert kern.metadata["frozen_q"] > 0
     half = filt.half_widths()
@@ -492,15 +487,14 @@ def test_phase_free_integrands_match_evaluate(request, model, config, narrow_pum
     assert np.all(np.abs(kern.intensity(W1, W2) - ref_i) <= 1e-14 * ref_i)
 
 
-@pytest.mark.parametrize("model, omega0", [
-    ("full3d", 0.0), ("spatial2d", 0.0), ("spatial2d", 1e12), ("temporal1d", 0.0)])
+# ids end in spatial2d's frozen Omega, 0.0, as when it was a parameter
+@pytest.mark.parametrize("model", schmidt.MODELS, ids=lambda m: f"{m}-0.0")
 @pytest.mark.parametrize("config", ["collinear", "walkoff", "noncollinear"])
-def test_folded_pump_weights_match_integrand_over_density(request, model, omega0,
-                                                          config, pump):
+def test_folded_pump_weights_match_integrand_over_density(request, model, config,
+                                                          pump):
     crystal = _crystal(request, config)
-    filt = BandwidthFilter(q_max=1.2e6, omega_max=1e14, model=model,
-                           fixed_omega_for_2d=omega0)
-    kern = build_kernel(filt, crystal, pump)
+    filt = BandwidthFilter(q_max=1.2e6, omega_max=1e14, model=model)
+    kern = PdcKernel(filt, crystal, pump)
     half, dim = filt.half_widths(), kern.dim
     rng = np.random.default_rng(11)
     n = 4000
@@ -531,7 +525,7 @@ def test_pump_lane_memory_stays_block_sized(monkeypatch, collinear, pump):
     # one 2^18-sample lane: the parent's lane-sized draws peaked at 35.6 MiB
     monkeypatch.setattr(schmidt, "_worker_count", lambda: 2)
     filt = BandwidthFilter(q_max=1.2e6, omega_max=1.5e14)
-    kern = build_kernel(filt, collinear, pump)
+    kern = PdcKernel(filt, collinear, pump)
     tracemalloc.start()
     try:
         mc_purity(filt, collinear, pump, 1 << 18, 3, kernel=kern, batch=1 << 18)
@@ -543,7 +537,7 @@ def test_pump_lane_memory_stays_block_sized(monkeypatch, collinear, pump):
 
 def test_phase_free_integrands_vanish_outside_cone(bbo, pump):
     filt = BandwidthFilter(q_max=1e5, omega_max=5e13)
-    kern = build_kernel(filt, bbo, pump)
+    kern = PdcKernel(filt, bbo, pump)
     inside = np.array([[1e4, 0.0, 1e13]])
     evanescent = np.array([[2e7, 0.0, 0.0]])
     assert kern.intensity(inside, evanescent)[0] == 0.0
@@ -607,7 +601,7 @@ def test_lane_diagnostics_uniform_constant_kernel():
 
 def test_lane_diagnostics_pump_sampler_accept_fraction(collinear, pump):
     filt = small_filter()
-    kern = build_kernel(filt, collinear, pump)
+    kern = PdcKernel(filt, collinear, pump)
     n, batch = 30_000, 8192
     est = mc_norm(filt, collinear, pump, n, 12, kernel=kern, batch=batch)
     # redraw every block's proposals from the same per-block substreams
