@@ -316,14 +316,7 @@ def cmd_schmidt_sweep(rc: RunConfig, outdir: Path, tracker) -> dict:
     )
     _write_text(outdir / "sweep.csv", sweep.to_csv(), tracker)
     meta = {
-        "seed": rc.mc.seed,
-        "n_norm": rc.mc.n_norm,
-        "n_purity": rc.mc.n_purity,
-        "sampler": rc.mc.sampler,
-        "batch": rc.mc.batch,
         "rng": RNG_DESCRIPTION,
-        "filter": {"q_max": rc.filter.q_max,
-                   "omega_max_list": list(rc.filter.omega_max_list)},
         "failures": [list(f) for f in sweep.failures],
         "config": config_snapshot(rc),
         "kernel_metadata": [
@@ -381,11 +374,11 @@ def main(argv=None) -> int:
         return 2
     parse_s = time.perf_counter() - t_start
     outdir = Path(args.out or os.environ.get(OUTPUT_ENV_VAR) or rc.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
 
     tracker = _Outputs()
     t_command = time.perf_counter()
     try:
+        outdir.mkdir(parents=True, exist_ok=True)
         result = COMMANDS[args.command](rc, outdir, tracker)
     except Exception as exc:
         for f in tracker:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -109,27 +109,32 @@ def _floats(text):
     return tuple(float(tok) for tok in text.replace(",", " ").split())
 
 
-# (section, key) -> attribute path; values are converter functions applied
-# to the raw string, producing SI quantities.  Unit-suffixed keys are the
-# human-friendly input form; the *_m/_rad/_s keys are the exact SI spellings
-# that dump_config emits so that resolved configs round-trip bit-for-bit.
+def _flag(text):
+    return text.strip().lower() in ("1", "true", "yes", "on")
+
+
+# (section, key) -> (attribute path, converter from the raw string to SI).
+# The first key listed for an attribute is its exact SI spelling: the one
+# config_snapshot and dump_config write, so that a resolved config
+# round-trips bit-for-bit.  The unit-suffixed keys after it are input
+# aliases.
 _SCHEMA = {
     ("crystal", "sellmeier_o"): ("crystal.sellmeier_ordinary", _floats),
     ("crystal", "sellmeier_e"): ("crystal.sellmeier_extraordinary", _floats),
-    ("crystal", "length_mm"): ("crystal.length_lc", lambda s: float(s) * 1e-3),
     ("crystal", "length_m"): ("crystal.length_lc", float),
-    ("crystal", "tuning_angle_deg"): ("crystal.tuning_angle", lambda s: math.radians(float(s))),
+    ("crystal", "length_mm"): ("crystal.length_lc", lambda s: float(s) * 1e-3),
     ("crystal", "tuning_angle_rad"): ("crystal.tuning_angle", float),
-    ("crystal", "pump_wavelength_nm"): ("crystal.pump_wavelength", lambda s: float(s) * 1e-9),
+    ("crystal", "tuning_angle_deg"): ("crystal.tuning_angle", lambda s: math.radians(float(s))),
     ("crystal", "pump_wavelength_m"): ("crystal.pump_wavelength", float),
-    ("crystal", "window_um"): ("crystal.window", lambda s: tuple(v * 1e-6 for v in _floats(s))),
+    ("crystal", "pump_wavelength_nm"): ("crystal.pump_wavelength", lambda s: float(s) * 1e-9),
     ("crystal", "window_m"): ("crystal.window", _floats),
-    ("crystal", "pump_walkoff_phase"): ("crystal.pump_walkoff_phase", lambda s: s.lower() in ("1", "true", "yes", "on")),
+    ("crystal", "window_um"): ("crystal.window", lambda s: tuple(v * 1e-6 for v in _floats(s))),
+    ("crystal", "pump_walkoff_phase"): ("crystal.pump_walkoff_phase", _flag),
     ("pump", "coupling_g"): ("pump.coupling_g", float),
-    ("pump", "waist_um"): ("pump.waist", lambda s: float(s) * 1e-6),
     ("pump", "waist_m"): ("pump.waist", float),
-    ("pump", "duration_fs"): ("pump.duration", lambda s: float(s) * 1e-15),
+    ("pump", "waist_um"): ("pump.waist", lambda s: float(s) * 1e-6),
     ("pump", "duration_s"): ("pump.duration", float),
+    ("pump", "duration_fs"): ("pump.duration", lambda s: float(s) * 1e-15),
     ("grid", "n_q"): ("grid.n_q", int),
     ("grid", "n_omega"): ("grid.n_omega", int),
     ("grid", "omega_extent"): ("grid.omega_extent", float),
@@ -212,61 +217,41 @@ def parse_config(path) -> RunConfig:
     )
 
 
+def config_snapshot(rc: RunConfig) -> dict:
+    """{section: {key: value}} of every field under its SI key, in file
+    order: JSON-ready, and the text dump_config writes.
+    Sequences become lists and an auto q_extent reads "auto"."""
+    snap, written = {}, set()
+    for (section, key), (attr, _) in _SCHEMA.items():
+        if attr in written:
+            continue
+        written.add(attr)
+        value = rc
+        for name in attr.split("."):
+            value = getattr(value, name)
+        if isinstance(value, tuple):
+            value = [float(v) for v in value]
+        snap.setdefault(section, {})[key] = "auto" if value is None else value
+    return snap
+
+
+def _text(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return ", ".join(map(repr, value))
+    return value if isinstance(value, str) else repr(value)
+
+
 def dump_config(rc: RunConfig) -> str:
     """Render a RunConfig back to config-file text with every field explicit.
 
     parse_config(dump_config(parse_config(f))) round-trips exactly.
     """
-    c, p, g, f, m = rc.crystal, rc.pump, rc.grid, rc.filter, rc.mc
-
-    def fmt_seq(seq):
-        return ", ".join(repr(float(v)) for v in seq)
-
-    lines = [
-        "[crystal]",
-        f"sellmeier_o = {fmt_seq(c.sellmeier_ordinary)}",
-        f"sellmeier_e = {fmt_seq(c.sellmeier_extraordinary)}",
-        f"length_m = {c.length_lc!r}",
-        f"tuning_angle_rad = {c.tuning_angle!r}",
-        f"pump_wavelength_m = {c.pump_wavelength!r}",
-        f"window_m = {fmt_seq(c.window)}",
-        f"pump_walkoff_phase = {'true' if c.pump_walkoff_phase else 'false'}",
-        "",
-        "[pump]",
-        f"coupling_g = {p.coupling_g!r}",
-        f"waist_m = {p.waist!r}",
-        f"duration_s = {p.duration!r}",
-        "",
-        "[grid]",
-        f"n_q = {g.n_q}",
-        f"n_omega = {g.n_omega}",
-        f"omega_extent = {g.omega_extent!r}",
-        f"q_extent = {'auto' if g.q_extent is None else repr(g.q_extent)}",
-        f"mode = {g.mode}",
-        "",
-        "[filter]",
-        f"q_max = {f.q_max!r}",
-        f"omega_max = {f.omega_max!r}",
-        f"omega_max_list = {fmt_seq(f.omega_max_list)}",
-        "",
-        "[mc]",
-        f"n_norm = {m.n_norm}",
-        f"n_purity = {m.n_purity}",
-        f"seed = {m.seed}",
-        f"sampler = {m.sampler}",
-        f"batch = {m.batch}",
-        "",
-        "[output]",
-        f"dir = {rc.output_dir}",
-        "",
-    ]
-    return "\n".join(lines)
-
-
-def config_snapshot(rc: RunConfig) -> dict:
-    """JSON-ready dict of the resolved configuration."""
-    snap = asdict(rc)
-    return snap
+    return "\n".join(
+        f"[{section}]\n" + "".join(f"{k} = {_text(v)}\n" for k, v in keys.items())
+        for section, keys in config_snapshot(rc).items()
+    )
 
 
 def builtin_config_path(name: str) -> Path:

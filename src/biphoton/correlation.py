@@ -49,7 +49,6 @@ class PumpConfig:
     coupling_g: float = 1e-3
     waist: float = 600e-6
     duration: float = 1e-12
-    profile: str = "gaussian"
 
     def __post_init__(self):
         if not self.coupling_g > 0:
@@ -58,8 +57,6 @@ class PumpConfig:
             raise ValueError(f"waist must be > 0, got {self.waist}")
         if not self.duration > 0:
             raise ValueError(f"duration must be > 0, got {self.duration}")
-        if self.profile != "gaussian":
-            raise ValueError(f"only the gaussian profile is supported, got {self.profile}")
 
     @property
     def spectral_norm(self):

@@ -386,10 +386,6 @@ class McEstimate:
 
     value: float
     stderr: float
-    n_samples: int
-    sampler: str
-    batch: int
-    lanes: int
     imag_value: float = 0.0
     imag_stderr: float = 0.0
     accept_frac: float = 1.0
@@ -466,7 +462,7 @@ def _map(fn, items):
         return list(pool.map(fn, items))  # re-raises a call's exception
 
 
-def _mc_run(n_samples, seed, batch, block_fn, scale, sampler):
+def _mc_run(n_samples, seed, batch, block_fn, scale):
     """Run lanes of blocks and reduce their stats in fixed pairwise trees.
 
     Lane l draws from child l of the seed, and block k of a lane from child
@@ -502,8 +498,6 @@ def _mc_run(n_samples, seed, batch, block_fn, scale, sampler):
     var_im = max(ss_im - s_im * s_im / n, 0.0) / max(n - 1, 1)
     return McEstimate(
         value=scale * (s_re / n), stderr=scale * math.sqrt(var_re / n),
-        n_samples=int(n_samples), sampler=sampler, batch=int(batch),
-        lanes=len(sizes),
         imag_value=scale * (s_im / n), imag_stderr=scale * math.sqrt(var_im / n),
         accept_frac=n_in / n, ess=s_re * s_re / ss_re if ss_re > 0 else 0.0,
     )
@@ -544,7 +538,7 @@ def mc_norm(filter: BandwidthFilter, crystal: CrystalConfig, pump: PumpConfig,
     else:
         raise ValueError(f"unknown sampler {sampler!r}")
 
-    return _mc_run(n_samples, seed, batch, block, scale, sampler)
+    return _mc_run(n_samples, seed, batch, block, scale)
 
 
 def mc_purity(filter: BandwidthFilter, crystal: CrystalConfig, pump: PumpConfig,
@@ -592,7 +586,7 @@ def mc_purity(filter: BandwidthFilter, crystal: CrystalConfig, pump: PumpConfig,
     else:
         raise ValueError(f"unknown sampler {sampler!r}")
 
-    return _mc_run(n_samples, seed, batch, block, scale, sampler)
+    return _mc_run(n_samples, seed, batch, block, scale)
 
 
 @dataclass(frozen=True)
@@ -607,8 +601,6 @@ class SchmidtEstimate:
     k_stderr: float
     n_samples_norm: int
     n_samples_purity: int
-    sampler: str
-    rng: str
     filter: BandwidthFilter
     ok: bool = True
     message: str = ""
@@ -639,8 +631,7 @@ def schmidt_number(filter: BandwidthFilter, crystal: CrystalConfig,
     common = dict(
         n_value=est_n.value, n_stderr=est_n.stderr,
         b_value=est_b.value, b_stderr=est_b.stderr,
-        n_samples_norm=n_norm, n_samples_purity=n_purity,
-        sampler=sampler, rng=RNG_DESCRIPTION, filter=filter,
+        n_samples_norm=n_norm, n_samples_purity=n_purity, filter=filter,
         b_imag=est_b.imag_value, b_imag_stderr=est_b.imag_stderr,
         kernel_metadata=dict(kern.metadata),
         norm_estimate=est_n, purity_estimate=est_b,
@@ -837,9 +828,6 @@ class SweepResult:
     kprod_err: np.ndarray
     estimates: list = field(default_factory=list)
     failures: list = field(default_factory=list)
-    seed: object = None
-    n_samples: object = None
-    sampler: str = "pump"
 
     def to_csv(self) -> str:
         lines = [
@@ -929,5 +917,4 @@ def bandwidth_sweep(omega_max_list: Sequence[float],
         k3d=k3d, k3d_err=k3e, k2d=k2d, k2d_err=k2e, k1d=k1d, k1d_err=k1e,
         kprod=kprod, kprod_err=kprod_err,
         estimates=estimates, failures=failures,
-        seed=seed, n_samples=n_samples, sampler=sampler,
     )

@@ -200,9 +200,15 @@ NONCOLLINEAR_SWEEP_OMEGAS = [2.5e13, 5e13, 1e14, 2e14, 3e14]
 SWEEP_SEED = 808
 
 
+@pytest.fixture(scope="module")
+def collinear_sweep(collinear_rc):
+    """The seed-808 collinear sweep that criteria 8 and 9 both read."""
+    return _run_transition_sweep(collinear_rc, COLLINEAR_SWEEP_OMEGAS, SWEEP_SEED)
+
+
 @pytest.mark.slow
-def test_criterion_8_factorization_transition(collinear_rc, noncollinear_rc):
-    col = _run_transition_sweep(collinear_rc, COLLINEAR_SWEEP_OMEGAS, SWEEP_SEED)
+def test_criterion_8_factorization_transition(collinear_sweep, noncollinear_rc):
+    col = collinear_sweep
     assert not col.failures
     col_detail = []
     departs = []
@@ -234,8 +240,8 @@ def test_criterion_8_factorization_transition(collinear_rc, noncollinear_rc):
 
 
 @pytest.mark.slow
-def test_criterion_9_sweep_determinism(collinear_rc):
-    s1 = _run_transition_sweep(collinear_rc, COLLINEAR_SWEEP_OMEGAS, SWEEP_SEED)
+def test_criterion_9_sweep_determinism(collinear_rc, collinear_sweep):
+    s1 = collinear_sweep
     s2 = _run_transition_sweep(collinear_rc, COLLINEAR_SWEEP_OMEGAS, SWEEP_SEED)
     csv1, csv2 = s1.to_csv(), s2.to_csv()
     ok = csv1 == csv2 and csv1.encode() == csv2.encode()

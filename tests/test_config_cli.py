@@ -1,3 +1,5 @@
+import configparser
+import dataclasses
 import json
 import math
 import os
@@ -12,11 +14,19 @@ import biphoton
 from biphoton import cli
 from biphoton.cli import NO_X_ARMS, main
 from biphoton.config import (
+    _SCHEMA,
     ConfigError,
+    FilterParams,
+    GridParams,
+    McParams,
+    RunConfig,
     builtin_config_path,
+    config_snapshot,
     dump_config,
     parse_config,
 )
+from biphoton.correlation import PumpConfig
+from biphoton.dispersion import CrystalConfig
 
 COLLINEAR_CFG = builtin_config_path("bbo_collinear")
 NONCOLLINEAR_CFG = builtin_config_path("bbo_noncollinear")
@@ -96,6 +106,72 @@ def test_config_round_trip(tmp_path):
     assert dump_config(rc2) == dump_config(rc1)
 
 
+NON_DEFAULT_CFG = """\
+[crystal]
+sellmeier_o = 2.7, 0.0188, 0.0182, 0.0135
+sellmeier_e = 2.37, 0.0122, 0.0167, 0.0152, 0.001, 0.5
+length_mm = 3.0
+tuning_angle_deg = 23.5
+pump_wavelength_nm = 532
+window_um = 0.2, 3.0
+pump_walkoff_phase = true
+
+[pump]
+coupling_g = 2e-3
+waist_um = 300
+duration_fs = 500
+
+[grid]
+n_q = 128
+n_omega = 64
+omega_extent = 2.0e14
+q_extent = 7.5e5
+mode = full3d
+
+[filter]
+q_max = 1.0e6
+omega_max = 2.0e14
+omega_max_list = 5e13, 1e14
+
+[mc]
+n_norm = 30000
+n_purity = 40000
+seed = 7
+sampler = uniform
+batch = 65536
+
+[output]
+dir = elsewhere
+"""
+
+
+def test_every_config_field_has_one_written_key():
+    sections = {"crystal": CrystalConfig, "pump": PumpConfig, "grid": GridParams,
+                "filter": FilterParams, "mc": McParams}
+    attrs = {f"{name}.{f.name}" for name, cls in sections.items()
+             for f in dataclasses.fields(cls)} | {"output_dir"}
+    assert {attr for attr, _ in _SCHEMA.values()} == attrs
+    # the snapshot writes each field once, under a key the parser reads
+    written = [_SCHEMA[(section, key)][0]
+               for section, keys in config_snapshot(RunConfig()).items()
+               for key in keys]
+    assert sorted(written) == sorted(attrs)
+
+
+def test_non_default_config_round_trips(tmp_path):
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text(NON_DEFAULT_CFG)
+    rc = parse_config(cfg)
+    snap, default = config_snapshot(rc), config_snapshot(RunConfig())
+    for section, keys in default.items():
+        for key, value in keys.items():
+            assert snap[section][key] != value, f"[{section}] {key} left at default"
+    dumped = tmp_path / "dumped.cfg"
+    dumped.write_text(dump_config(rc))
+    assert parse_config(dumped) == rc
+    assert dump_config(parse_config(dumped)) == dumped.read_text()
+
+
 def test_cli_tune_prints_angle(tmp_path, capsys):
     code = main(["tune", "--config", str(COLLINEAR_CFG), "--out", str(tmp_path)])
     assert code == 0
@@ -164,6 +240,24 @@ def test_cli_correlate_outputs(tmp_path):
     assert csv_lines[0] == "delta_x_m,delta_t_s,abs2"
 
 
+def test_map_json_config_parses_back_to_the_run_config(tmp_path):
+    cfg = _small_cfg(tmp_path, n=64,
+                     extra="q_extent = 8e5\n\n[pump]\nwaist_um = 500\n\n[mc]\nseed = 9\n")
+    out = tmp_path / "out"
+    assert main(["correlate", "--config", str(cfg), "--out", str(out)]) == 0
+    snap = json.loads((out / "map.json").read_text())["config"]
+    assert snap == json.loads((out / "run.json").read_text())["resolved_config"]
+    # any INI writer will do: lists as comma-separated values, the rest as text
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read_dict({section: {key: ", ".join(map(repr, v)) if isinstance(v, list) else str(v)
+                            for key, v in keys.items()}
+                  for section, keys in snap.items()})
+    pasted = tmp_path / "pasted.cfg"
+    with open(pasted, "w") as fh:
+        cp.write(fh)
+    assert parse_config(pasted) == parse_config(cfg)
+
+
 def test_cli_correlate_reproducible_bits(tmp_path):
     cfg = _small_cfg(tmp_path)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -188,7 +282,10 @@ def test_cli_schmidt_sweep_small(tmp_path):
     assert lines[0] == "omega_max_hz,k3d,k3d_err,k2d,k2d_err,k1d,k1d_err,kprod,kprod_err"
     assert len(lines) == 3
     meta = json.loads((out / "sweep_meta.json").read_text())
-    assert meta["seed"] == 4
+    # each run value is stated once, in the config section
+    assert meta["config"]["mc"]["seed"] == 4
+    assert meta["config"]["filter"]["omega_max_list"] == [5e13, 1e14]
+    assert not {"seed", "n_norm", "n_purity", "sampler", "batch", "filter"} & set(meta)
     assert meta["rng"].startswith("numpy PCG64")
     assert (out / "plot_sweep.py").is_file()
 
@@ -323,6 +420,18 @@ def test_cli_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, capsys,
     assert code == 1
     assert json.loads(capsys.readouterr().err)["error"] == "OSError"
     assert list(out.iterdir()) == []
+
+
+def test_cli_unusable_out_dir_reports_json_error(tmp_path, capsys):
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    code = main(["tune", "--config", str(COLLINEAR_CFG), "--out", str(blocker / "sub")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    payload = json.loads(err)
+    assert payload["error"] == "NotADirectoryError"
+    assert payload["command"] == "tune"
 
 
 def test_cli_run_json_timings(tmp_path):

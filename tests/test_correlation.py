@@ -54,7 +54,7 @@ def test_pump_config_validation():
     with pytest.raises(ValueError):
         PumpConfig(waist=-1.0)
     with pytest.raises(ValueError):
-        PumpConfig(profile="flattop")
+        PumpConfig(duration=0.0)
 
 
 def test_pump_spectral_amplitude_normalization(pump):
