@@ -380,6 +380,31 @@ def main(argv=None) -> int:
     try:
         outdir.mkdir(parents=True, exist_ok=True)
         result = COMMANDS[args.command](rc, outdir, tracker)
+        command_s = time.perf_counter() - t_command
+        manifest = {
+            "command": args.command,
+            "config_path": str(args.config),
+            "flags": {"out": args.out, "seed": args.seed, "samples": args.samples},
+            "resolved_config": config_snapshot(rc),
+            "resolved_config_text": dump_config(rc),
+            "outputs": [p.name for p in tracker],
+            "seed": rc.mc.seed,
+            "rng": RNG_DESCRIPTION,
+            "versions": {
+                "biphoton": __version__,
+                "numpy": np.__version__,
+                "python": sys.version.split()[0],
+            },
+            "timings": {
+                "parse_s": parse_s,
+                "compute_s": command_s - tracker.export_s,
+                "export_s": tracker.export_s,
+                "wall_s": time.perf_counter() - t_start,
+            },
+            "summary": _json_ready(result),
+        }
+        # a failed manifest write removes the data products like any failure
+        _write_json(outdir / "run.json", manifest, tracker)
     except Exception as exc:
         for f in tracker:
             try:
@@ -390,33 +415,6 @@ def main(argv=None) -> int:
                    "command": args.command}, sys.stderr)
         sys.stderr.write("\n")
         return 1
-    command_s = time.perf_counter() - t_command
-
-    manifest = {
-        "command": args.command,
-        "config_path": str(args.config),
-        "flags": {"out": args.out, "seed": args.seed, "samples": args.samples},
-        "resolved_config": config_snapshot(rc),
-        "resolved_config_text": dump_config(rc),
-        "outputs": [p.name for p in tracker],
-        "seed": rc.mc.seed,
-        "rng": RNG_DESCRIPTION,
-        "versions": {
-            "biphoton": __version__,
-            "numpy": np.__version__,
-            "python": sys.version.split()[0],
-        },
-        "timings": {
-            "parse_s": parse_s,
-            "compute_s": command_s - tracker.export_s,
-            "export_s": tracker.export_s,
-            "wall_s": time.perf_counter() - t_start,
-        },
-        "summary": _json_ready(result),
-    }
-    with open(outdir / "run.json", "w") as fh:
-        json.dump(_json_ready(manifest), fh, indent=2, sort_keys=True)
-        fh.write("\n")
     return 0
 
 

@@ -249,12 +249,11 @@ class CorrelationMap:
     mode: str  # slice2d | full3d
     grid: SpectralGrid
     crystal: CrystalConfig
-    pump: PumpConfig
     warnings: list = field(default_factory=list)
     evanescent_cells: int = 0
 
 
-def synthesize_map(kernel_values, grid: SpectralGrid, mode, crystal, pump,
+def synthesize_map(kernel_values, grid: SpectralGrid, mode, crystal,
                    warnings=None, evanescent_cells=0) -> CorrelationMap:
     """Fourier-synthesize a correlation map from kernel values on (q_x, Omega).
 
@@ -284,7 +283,6 @@ def synthesize_map(kernel_values, grid: SpectralGrid, mode, crystal, pump,
         mode=mode,
         grid=grid,
         crystal=crystal,
-        pump=pump,
         warnings=list(warnings or []),
         evanescent_cells=evanescent_cells,
     )
@@ -340,7 +338,7 @@ def correlation_map(grid: SpectralGrid, crystal: CrystalConfig,
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return synthesize_map(
-        kern, grid, mode, crystal, pump, warnings=warnings, evanescent_cells=n_evan
+        kern, grid, mode, crystal, warnings=warnings, evanescent_cells=n_evan
     )
 
 

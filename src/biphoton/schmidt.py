@@ -48,7 +48,7 @@ from .correlation import (
     biphoton_fourier_arrays,
     sinc,
 )
-from .dispersion import CrystalConfig, signal_wavenumber
+from .dispersion import CrystalConfig, pump_wavenumber_at, signal_wavenumber
 from .phasematch import (
     delta0,
     pair_delta_arrays,
@@ -57,7 +57,10 @@ from .phasematch import (
     taylor_coefficients,
 )
 
-MODELS = ("full3d", "spatial2d", "temporal1d")
+# each model's per-photon axes, a transverse wavevector component "q" or the
+# frequency offset "omega": box, proposal widths, mirrors and checks follow them
+MODEL_AXES = {"full3d": ("q", "q", "omega"), "spatial2d": ("q", "q"), "temporal1d": ("omega",)}
+MODELS = tuple(MODEL_AXES)
 DEFAULT_BATCH = 1 << 19
 
 MIN_NORM_SAMPLES = 1_000
@@ -71,6 +74,11 @@ RNG_DESCRIPTION = (
     "numpy PCG64 v2: SeedSequence-spawned lane substreams, each spawning "
     f"one substream per {_BLOCK_SAMPLES}-sample block"
 )
+
+
+def _per_axis(axes, q_value, omega_value):
+    """One value per model axis: q_value on each q axis, omega_value on Omega."""
+    return np.array([q_value if a == "q" else omega_value for a in axes])
 
 
 @dataclass(frozen=True)
@@ -98,15 +106,11 @@ class BandwidthFilter:
 
     @property
     def dim(self):
-        return {"full3d": 3, "spatial2d": 2, "temporal1d": 1}[self.model]
+        return len(MODEL_AXES[self.model])
 
     def half_widths(self):
         """Per-dimension half widths of the one-photon box."""
-        if self.model == "full3d":
-            return np.array([self.q_max, self.q_max, self.omega_max])
-        if self.model == "spatial2d":
-            return np.array([self.q_max, self.q_max])
-        return np.array([self.omega_max])
+        return _per_axis(MODEL_AXES[self.model], self.q_max, self.omega_max)
 
     def box_volume(self):
         return float(np.prod(2.0 * self.half_widths()))
@@ -131,7 +135,8 @@ class PdcKernel:
         self.crystal = crystal
         self.pump = pump
         self.model = filter.model
-        self.dim = filter.dim
+        self.axes = MODEL_AXES[filter.model]
+        self.dim = len(self.axes)
         self.metadata = {"model": self.model}
         self._validate_box()
         if self.model == "temporal1d":
@@ -159,23 +164,20 @@ class PdcKernel:
 
     def _validate_box(self):
         f = self.filter
-        # fail at construction rather than mid-sampling: the box must stay
-        # inside the dispersion window and below the evanescent bound
-        for om in (-f.omega_max, 0.0, f.omega_max):
-            signal_wavenumber(om, self.crystal)
-        from .dispersion import pump_wavenumber_at
-
-        for om in (-2 * f.omega_max, 2 * f.omega_max):
-            pump_wavenumber_at(om, self.crystal)
-        ks_lo = min(
-            float(signal_wavenumber(-f.omega_max, self.crystal)),
-            float(signal_wavenumber(f.omega_max, self.crystal)),
-        )
+        # fail at construction rather than mid-sampling: the Omega values
+        # the model samples must stay inside the dispersion window and the
+        # q reach below the evanescent bound there
+        has_omega = "omega" in self.axes
+        oms = (-f.omega_max, 0.0, f.omega_max) if has_omega else (0.0,)
+        ks_lo = min(float(signal_wavenumber(om, self.crystal)) for om in oms)
+        if has_omega:
+            for om in (-2 * f.omega_max, 2 * f.omega_max):
+                pump_wavenumber_at(om, self.crystal)
         q_reach = f.q_max * math.sqrt(2.0)
-        if f.model != "temporal1d" and q_reach >= ks_lo:
+        if "q" in self.axes and q_reach >= ks_lo:
             raise ValueError(
                 f"filter q reach {q_reach:.4e} rad/m exceeds the propagating "
-                f"bound k_s = {ks_lo:.4e} rad/m at the Omega edge"
+                f"bound k_s = {ks_lo:.4e} rad/m at the sampled Omega"
             )
 
     def _expand(self, W):
@@ -279,11 +281,11 @@ class PdcKernel:
         """Model axes along which a joint sign flip of both photons leaves
         matrix_rows unchanged.  The pump, the sinc and k_pz see q only
         through |q_1|, |q_2| and |q_1 + q_2|, so q_x and q_y qualify unless
-        the walk-off phase rho (q_1x + q_2x) l_c, odd in q_x, is on.
-        Dispersion is not even in Omega, so temporal1d has none."""
-        if self.model == "temporal1d":
-            return ()
-        return (1,) if self.crystal.pump_walkoff_phase else (0, 1)
+        the walk-off phase rho (q_1x + q_2x) l_c, odd in q_x (axis 0), is
+        on.  Dispersion is not even in Omega, so no Omega axis qualifies."""
+        walkoff = self.crystal.pump_walkoff_phase
+        return tuple(d for d, a in enumerate(self.axes)
+                     if a == "q" and not (walkoff and d == 0))
 
     def matrix_rows(self, W1, W2):
         """rows(i, j) -> the rows [i, j) of the amplitude matrix
@@ -307,14 +309,7 @@ class PdcKernel:
         purity's three sums get sqrt(2)-widened Gaussians, which keep the
         weight variance finite.
         """
-        sig_q = 1.0 / self.pump.waist
-        sig_om = 1.0 / self.pump.duration
-        if self.model == "full3d":
-            sig = np.array([sig_q, sig_q, sig_om])
-        elif self.model == "spatial2d":
-            sig = np.array([sig_q, sig_q])
-        else:
-            sig = np.array([sig_om])
+        sig = _per_axis(self.axes, 1.0 / self.pump.waist, 1.0 / self.pump.duration)
         return sig * math.sqrt(2.0) if purity else sig
 
 
@@ -846,11 +841,14 @@ class SweepResult:
         """One Monte Carlo diagnostics record per cell, in cell order
         (i_omega * 3 + model_index); a failed cell keeps only its model and
         omega_max.  b_imag_pull is Im B over its standard error (None when
-        that error is 0)."""
+        that error is 0).  The cells of a model with no Omega axis carry
+        shared=True: they all report the one run of row 0."""
         records = []
         for idx, est in enumerate(self.estimates):
             i, j = divmod(idx, len(MODELS))
             rec = {"model": MODELS[j], "omega_max": float(self.omega_max[i])}
+            if "omega" not in MODEL_AXES[MODELS[j]]:
+                rec["shared"] = True
             if est is not None:
                 n, b = est.norm_estimate, est.purity_estimate
                 rec.update(
@@ -875,9 +873,10 @@ def bandwidth_sweep(omega_max_list: Sequence[float],
 
     Cell sub-seeds are spawned from the root seed by cell index
     (i_omega * 3 + model_index), so any single cell can be reproduced by a
-    direct schmidt_number call with the same derived seed.  The 2D-spatial
-    model does not depend on omega_max; it is still run per cell so every
-    cell carries an independent seed and error bar.
+    direct schmidt_number call with the same derived seed.  A model with no
+    Omega axis (2D-spatial) does not depend on omega_max: it runs once, as
+    row 0's cell, and every row repeats that estimate, error bar and any
+    failure.
     """
     omegas = [float(o) for o in omega_max_list]
     if sorted(omegas) != omegas:
@@ -886,26 +885,26 @@ def bandwidth_sweep(omega_max_list: Sequence[float],
     children = root.spawn(len(omegas) * len(MODELS))
     cols = {m: ([], []) for m in MODELS}
     estimates, failures = [], []
-    for i, om in enumerate(omegas):
+    runs = {}  # (row, model) -> (estimate or None, failure message or None)
+    for i in range(len(omegas)):
         for j, model in enumerate(MODELS):
-            child = children[i * len(MODELS) + j]
-            filt = replace(filter_template, model=model, omega_max=om)
-            try:
-                est = schmidt_number(
-                    filt, crystal, pump, n_samples, child,
-                    sampler=sampler, batch=batch,
-                )
-                if not est.ok:
-                    failures.append((i, model, est.message))
-            except ValueError as exc:  # domain error: record, keep sweeping
-                failures.append((i, model, f"{type(exc).__name__}: {exc}"))
-                est = None
+            row = i if "omega" in MODEL_AXES[model] else 0
+            if (row, model) not in runs:
+                filt = replace(filter_template, model=model, omega_max=omegas[row])
+                try:
+                    est = schmidt_number(filt, crystal, pump, n_samples,
+                                         children[row * len(MODELS) + j],
+                                         sampler=sampler, batch=batch)
+                    runs[row, model] = (est, None if est.ok else est.message)
+                except ValueError as exc:  # domain error: record, keep sweeping
+                    runs[row, model] = (None, f"{type(exc).__name__}: {exc}")
+            est, message = runs[row, model]
+            if message is not None:
+                failures.append((i, model, message))
             estimates.append(est)
-            k, e = (math.nan, math.nan)
-            if est is not None and est.ok:
-                k, e = est.k_value, est.k_stderr
-            cols[model][0].append(k)
-            cols[model][1].append(e)
+            # a failed estimate already holds NaN for K and its error
+            cols[model][0].append(math.nan if est is None else est.k_value)
+            cols[model][1].append(math.nan if est is None else est.k_stderr)
 
     k3d, k3e = (np.array(c) for c in cols["full3d"])
     k2d, k2e = (np.array(c) for c in cols["spatial2d"])

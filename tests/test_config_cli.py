@@ -324,6 +324,9 @@ def test_cli_sweep_meta_records_cell_diagnostics(tmp_path):
     assert [(c["model"], c["omega_max"]) for c in cells] == [
         (m, om) for om in (5e13, 2e15) for m in ("full3d", "spatial2d", "temporal1d")
     ]
+    # spatial2d runs once: each row's record repeats it and says so
+    assert [c.get("shared") for c in cells] == [None, True, None] * 2
+    assert cells[4] == {**cells[1], "omega_max": 2e15}
     failed = {(i, m) for i, m, _ in meta["failures"]}
     for idx, cell in enumerate(cells):
         i = idx // 3
@@ -401,6 +404,7 @@ def test_cli_runtime_error_removes_partial_outputs(tmp_path, capsys):
     ("tune", "tune.json"),
     ("correlate", "map.bin"),
     ("correlate", "map.csv"),
+    ("tune", "run.json"),
 ])
 def test_cli_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, capsys,
                                                  command, failing):

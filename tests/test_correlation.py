@@ -175,10 +175,10 @@ def test_sinc2_map_bounds_and_ridges(collinear, noncollinear):
         assert q_star == pytest.approx(ring, rel=0.02)
 
 
-def test_constant_kernel_transforms_to_delta(bbo, pump):
+def test_constant_kernel_transforms_to_delta(bbo):
     grid = SpectralGrid.centered(64, 1e5, 64, 1e14)
     kern = np.ones((64, 64), dtype=complex)
-    m = synthesize_map(kern, grid, "slice2d", bbo, pump)
+    m = synthesize_map(kern, grid, "slice2d", bbo)
     inten = np.abs(m.psi) ** 2
     peak = np.unravel_index(np.argmax(inten), inten.shape)
     assert peak == (32, 32)
@@ -190,7 +190,7 @@ def test_map_parseval(collinear, pump):
     kern, _ = pw_kernel_values(
         grid.qx[:, None], grid.omega[None, :], collinear, pump.coupling_g
     )
-    m = synthesize_map(kern, grid, "slice2d", collinear, pump)
+    m = synthesize_map(kern, grid, "slice2d", collinear)
     lhs = (np.abs(m.psi) ** 2).sum() * (m.delta_x[1] - m.delta_x[0]) * (
         m.delta_t[1] - m.delta_t[0]
     )
@@ -258,12 +258,12 @@ def test_full3d_memory_stays_2d(collinear, pump):
     assert peak < 16 * 2**20
 
 
-def test_synthesize_map_rejects_unknown_mode_and_cube(bbo, pump):
+def test_synthesize_map_rejects_unknown_mode_and_cube(bbo):
     grid = SpectralGrid.centered(8, 1e5, 8, 1e14, with_qy=True)
     with pytest.raises(ValueError, match="unknown mode"):
-        synthesize_map(np.ones((8, 8), complex), grid, "full4d", bbo, pump)
+        synthesize_map(np.ones((8, 8), complex), grid, "full4d", bbo)
     with pytest.raises(ValueError, match="shape"):
-        synthesize_map(np.ones((8, 8, 8), complex), grid, "full3d", bbo, pump)
+        synthesize_map(np.ones((8, 8, 8), complex), grid, "full3d", bbo)
 
 
 def test_resolution_warning_on_coarse_grid(noncollinear, pump):
@@ -295,7 +295,7 @@ def test_ridge_fit_grid_refinement_stability(bbo, pump):
     )
 
 
-def test_ridge_fit_synthetic_known_slope(bbo, pump):
+def test_ridge_fit_synthetic_known_slope(bbo):
     # Gaussian ridges exactly on q = +-Omega/c0: map arms at dt = dx/c0
     c0 = 1.0 / 6e-10  # m/s, slope 1/c0 = 6e-10 s/m
     grid = SpectralGrid.centered(512, 4e5, 512, 3e14)
@@ -306,7 +306,7 @@ def test_ridge_fit_synthetic_known_slope(bbo, pump):
         np.exp(-((Q - OM / c0) ** 2) / (2 * sigma**2))
         + np.exp(-((Q + OM / c0) ** 2) / (2 * sigma**2))
     ).astype(complex)
-    m = synthesize_map(kern, grid, "slice2d", bbo, pump)
+    m = synthesize_map(kern, grid, "slice2d", bbo)
     x_max = m.delta_x[-1]
     fit = ridge_fit(m, core_exclusion=0.08 * x_max, outer_limit=0.5 * x_max)
     assert fit.sufficient

@@ -377,15 +377,32 @@ def test_failed_estimate_is_explicit():
 
 def test_sweep_single_cell_matches_direct_call(collinear, pump):
     filt = BandwidthFilter(q_max=1.2e6, omega_max=1e14)
-    sweep = bandwidth_sweep([1e14], filt, collinear, pump, (20_000, 60_000), 77)
-    root = np.random.SeedSequence(77)
-    children = root.spawn(3)
-    direct = schmidt_number(
-        replace(filt, model="spatial2d"), collinear, pump, (20_000, 60_000),
-        children[1],
-    )
-    assert sweep.k2d[0] == direct.k_value
-    assert sweep.k2d_err[0] == direct.k_stderr
+    omegas = [5e13, 1e14]
+    sweep = bandwidth_sweep(omegas, filt, collinear, pump, (20_000, 60_000), 77)
+    for i, om in enumerate(omegas):
+        for j, (model, col) in enumerate(zip(schmidt.MODELS, ("k3d", "k2d", "k1d"))):
+            # spatial2d has no Omega axis: every row is row 0's cell, child 1;
+            # a fresh child per call, since spawning advances a SeedSequence
+            child = np.random.SeedSequence(77).spawn(6)[
+                1 if model == "spatial2d" else i * 3 + j]
+            direct = schmidt_number(
+                replace(filt, model=model, omega_max=om), collinear, pump,
+                (20_000, 60_000), child,
+            )
+            assert getattr(sweep, col)[i] == direct.k_value
+            assert getattr(sweep, col + "_err")[i] == direct.k_stderr
+
+
+def test_spatial2d_reads_no_omega(collinear, pump):
+    # at 2e15 the Omega edge leaves the dispersion window (omega_p / 2 +
+    # Omega < 0), which only a model with an Omega axis samples
+    PdcKernel(BandwidthFilter(1.2e6, 2e15, "spatial2d"), collinear, pump)
+    for model in ("full3d", "temporal1d"):
+        with pytest.raises(ValueError):
+            PdcKernel(BandwidthFilter(1.2e6, 2e15, model), collinear, pump)
+    a, b = (schmidt_number(BandwidthFilter(1.2e6, om, "spatial2d"), collinear, pump,
+                           (20_000, 60_000), 3) for om in (5e13, 6e14))
+    assert replace(a, filter=None) == replace(b, filter=None)
 
 
 def test_sweep_csv_layout_and_determinism(collinear, pump):
@@ -451,6 +468,27 @@ def test_sweep_propagates_non_domain_errors(monkeypatch, collinear, pump):
     filt = BandwidthFilter(q_max=1.2e6, omega_max=5e13)
     with pytest.raises(TypeError, match="bug"):
         bandwidth_sweep([5e13], filt, collinear, pump, (20_000, 60_000), 5)
+
+
+def test_sweep_runs_shared_cell_once_and_repeats_its_failure(monkeypatch, collinear,
+                                                             pump):
+    exc = WindowError(4e-6, (0.22e-6, 3.1e-6))
+    real, calls = schmidt.schmidt_number, []
+
+    def fake(filt, *args, **kwargs):
+        if filt.model == "spatial2d":
+            calls.append(filt.omega_max)
+            raise exc
+        return real(filt, *args, **kwargs)
+
+    monkeypatch.setattr(schmidt, "schmidt_number", fake)
+    filt = BandwidthFilter(q_max=1.2e6, omega_max=1e14)
+    sweep = bandwidth_sweep([5e13, 1e14], filt, collinear, pump, (20_000, 60_000), 5)
+    assert calls == [5e13]
+    message = f"WindowError: {exc}"
+    assert sweep.failures == [(0, "spatial2d", message), (1, "spatial2d", message)]
+    assert np.isnan(sweep.k2d).all() and np.isnan(sweep.kprod).all()
+    assert not np.isnan(sweep.k3d).any()
 
 
 def _four_evaluate_product(kern, W1, W2, W3, W4):
