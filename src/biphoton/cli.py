@@ -192,7 +192,7 @@ print("wrote map.png")
 
 
 def _export_map(cmap: CorrelationMap, outdir: Path, tracker: _Outputs, rc: RunConfig):
-    abs2 = np.abs(cmap.psi) ** 2
+    abs2 = cmap.intensity
     with tracker.open(outdir / "map.bin", "wb") as fh:
         # one plane at a time: at most one plane-sized copy (real, imag)
         for plane in (abs2, cmap.psi.real, cmap.psi.imag):

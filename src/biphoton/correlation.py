@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -132,14 +133,17 @@ def biphoton_fourier(w1: FourierCoord, w2: FourierCoord,
 
 def pw_kernel_values(q, omega_shift, crystal: CrystalConfig, g):
     """Plane-wave-pump kernel g * sinc(Delta_pw/2) e^{i Delta_pw/2} on
-    broadcast (|q|, Omega); returns (values, evanescent_count).
+    broadcast (|q|, Omega); returns (values, propagating_mask).
 
     Evanescent points carry 0: outside the propagating cone the kernel
     vanishes by physical cutoff.
     """
     delta, ok = delta_pw_arrays(q, omega_shift, crystal)
-    vals = np.where(ok, g * sinc(0.5 * delta) * np.exp(1j * 0.5 * delta), 0.0 + 0.0j)
-    return vals, int(np.count_nonzero(~ok))
+    # in place: each kernel-sized temporary adds to the map's peak memory
+    vals = np.asarray(np.exp(1j * 0.5 * delta))
+    vals *= g * sinc(0.5 * delta)
+    vals[~ok] = 0.0
+    return vals, ok
 
 
 @dataclass(frozen=True)
@@ -252,6 +256,11 @@ class CorrelationMap:
     warnings: list = field(default_factory=list)
     evanescent_cells: int = 0
 
+    @cached_property
+    def intensity(self):
+        """|psi|^2, computed on first use and kept."""
+        return np.abs(self.psi) ** 2
+
 
 def synthesize_map(kernel_values, grid: SpectralGrid, mode, crystal,
                    warnings=None, evanescent_cells=0) -> CorrelationMap:
@@ -273,8 +282,10 @@ def synthesize_map(kernel_values, grid: SpectralGrid, mode, crystal,
     ddt = TWO_PI / (n_om * grid.domega)
     delta_x = (np.arange(n_q) - n_q // 2) * ddx
     delta_t = (np.arange(n_om) - n_om // 2) * ddt
-    psi = np.fft.ifft(np.fft.ifftshift(kernel_values), axis=0) * n_q
-    psi = np.fft.fftshift(np.fft.fft(psi, axis=1))
+    psi = np.fft.ifft(np.fft.ifftshift(kernel_values), axis=0)
+    psi *= n_q
+    psi = np.fft.fft(psi, axis=1)  # a statement of its own, so the ifft output
+    psi = np.fft.fftshift(psi)     # is freed before fftshift copies
     psi *= grid.dq * grid.domega / TWO_PI**2
     return CorrelationMap(
         delta_x=delta_x,
@@ -314,29 +325,35 @@ def correlation_map(grid: SpectralGrid, crystal: CrystalConfig,
     the (q_x, q_y, Omega) transform: at delta_y = 0 the q_y integral acts on
     the kernel alone, so the kernel summed over q_y (times dq_y / 2 pi) goes
     through the same 2D transform, one q_y row at a time and never as a
-    cube.  The kernel depends on q_y only through |q|, so each distinct
-    |q_y| is evaluated once and weighted by its multiplicity.  Amplitudes
-    approximate the continuous transform (kernel sums are scaled by
-    dq dOmega / (2 pi)^d).
+    cube.  The kernel depends on q only through |q|, so both modes evaluate
+    it once per distinct |q_x| and copy each row to its sign mirror; full3d
+    also evaluates each distinct |q_y| once and weights it by its
+    multiplicity.  Amplitudes approximate the continuous transform (kernel
+    sums are scaled by dq dOmega / (2 pi)^d).
     """
     warn = _resolution_warning(grid, crystal)
     warnings = [warn] if warn else []
     g = pump.coupling_g
     om = grid.omega[None, :]
+    # |q_x| rows: inv maps each signed q_x to its row, mult counts its mirrors
+    qx_abs, inv, mult = np.unique(np.abs(grid.qx), return_inverse=True,
+                                  return_counts=True)
     if mode == "slice2d":
-        kern, n_evan = pw_kernel_values(grid.qx[:, None], om, crystal, g)
+        kern, ok = pw_kernel_values(qx_abs[:, None], om, crystal, g)
+        n_evan = int(mult @ np.count_nonzero(~ok, axis=1))
     elif mode == "full3d":
         if grid.qy is None:
             raise ValueError("full3d mode needs a grid with a qy axis")
-        kern = np.zeros((grid.n_q, grid.n_omega), dtype=complex)
+        kern = np.zeros((len(qx_abs), grid.n_omega), dtype=complex)
         n_evan = 0
         for qy, count in zip(*np.unique(np.abs(grid.qy), return_counts=True)):
-            row, row_evan = pw_kernel_values(np.hypot(grid.qx, qy)[:, None], om, crystal, g)
+            row, ok = pw_kernel_values(np.hypot(qx_abs, qy)[:, None], om, crystal, g)
             kern += count * row
-            n_evan += int(count) * row_evan
+            n_evan += int(count) * int(mult @ np.count_nonzero(~ok, axis=1))
         kern *= float(grid.qy[1] - grid.qy[0]) / TWO_PI
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    kern = kern[inv]  # rebinding frees the |q_x| rows before the transform
     return synthesize_map(
         kern, grid, mode, crystal, warnings=warnings, evanescent_cells=n_evan
     )
@@ -435,7 +452,7 @@ def ridge_fit(cmap: CorrelationMap, core_exclusion=None,
     """
     x = cmap.delta_x
     t = cmap.delta_t
-    inten = np.abs(cmap.psi) ** 2
+    inten = cmap.intensity
     r_core, r_out = ridge_window(cmap, core_exclusion, outer_limit)
     cols = np.nonzero((x > r_core) & (x <= r_out))[0]
     pos = t > 0

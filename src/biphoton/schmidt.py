@@ -24,7 +24,9 @@ occupancy alone.
 
 Streams are numpy PCG64 generators derived through SeedSequence spawning:
 one child per fixed-size lane of `batch` samples, and one grandchild per
-block of _BLOCK_SAMPLES rows of a lane.  Each block draws its own proposals,
+block of _BLOCK_SAMPLES rows of a lane.  Children are derived by spawn key
+without advancing the seed's spawn counter, so a seed object gives the same
+streams on every call.  Each block draws its own proposals,
 evaluates them and returns one row of sums; block rows are reduced in a
 fixed pairwise tree per lane and the lane rows in another.  Blocks run on a
 thread pool sized to the process's CPUs, and since no block touches another
@@ -393,6 +395,14 @@ def _as_seed_sequence(seed):
     return np.random.SeedSequence(int(seed))
 
 
+def _children(seq, n):
+    """Children 0..n-1 of seq, the streams a first seq.spawn(n) returns,
+    derived without advancing seq's spawn counter: one seed object gives
+    the same streams on every call."""
+    return [np.random.SeedSequence(seq.entropy, spawn_key=seq.spawn_key + (i,),
+                                   pool_size=seq.pool_size) for i in range(n)]
+
+
 def _lane_sizes(n, batch):
     sizes = [batch] * (n // batch)
     if n % batch:
@@ -439,22 +449,28 @@ def _worker_count():
     return os.cpu_count() or 1
 
 
+_POOLS = {}  # worker count -> the process's ThreadPoolExecutor of that size
+
+
 def _map(fn, items):
     """[fn(x) for x in items], in order.
 
     With at least two CPUs and two items the calls run on a thread pool
-    (numpy releases the GIL inside its array loops).  Each call must write
-    only its own outputs, so the result does not depend on scheduling.
+    (numpy releases the GIL inside its array loops), created on first use
+    and reused by every later call.  Each call must write only its own
+    outputs, so the result does not depend on scheduling.
     """
     items = list(items)
-    workers = min(_worker_count(), len(items))
-    if workers < 2:
+    workers = _worker_count()
+    if min(workers, len(items)) < 2:
         return [fn(x) for x in items]
-    # imported here: the import costs start-up time of every CLI call
-    from concurrent.futures import ThreadPoolExecutor
+    pool = _POOLS.get(workers)
+    if pool is None:
+        # imported here: the import costs start-up time of every CLI call
+        from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))  # re-raises a call's exception
+        pool = _POOLS[workers] = ThreadPoolExecutor(max_workers=workers)
+    return list(pool.map(fn, items))  # re-raises a call's exception
 
 
 def _mc_run(n_samples, seed, batch, block_fn, scale):
@@ -470,9 +486,9 @@ def _mc_run(n_samples, seed, batch, block_fn, scale):
     root = _as_seed_sequence(seed)
     sizes = _lane_sizes(int(n_samples), int(batch))
     blocks, counts = [], []
-    for size, child in zip(sizes, root.spawn(len(sizes))):
+    for size, child in zip(sizes, _children(root, len(sizes))):
         ms = _lane_sizes(size, _BLOCK_SAMPLES)
-        blocks += zip(ms, child.spawn(len(ms)))
+        blocks += zip(ms, _children(child, len(ms)))
         counts.append(len(ms))
 
     def stats(block):
@@ -618,7 +634,7 @@ def schmidt_number(filter: BandwidthFilter, crystal: CrystalConfig,
     n_norm, n_purity = (int(n) for n in n_samples)
     kern = kernel if kernel is not None else PdcKernel(filter, crystal, pump)
     root = _as_seed_sequence(seed)
-    seed_n, seed_b = root.spawn(2)
+    seed_n, seed_b = _children(root, 2)
     est_n = mc_norm(filter, crystal, pump, n_norm, seed_n, sampler=sampler,
                     kernel=kern, batch=batch)
     est_b = mc_purity(filter, crystal, pump, n_purity, seed_b, sampler=sampler,
@@ -882,7 +898,7 @@ def bandwidth_sweep(omega_max_list: Sequence[float],
     if sorted(omegas) != omegas:
         raise ValueError("omega_max_list must be sorted ascending")
     root = _as_seed_sequence(seed)
-    children = root.spawn(len(omegas) * len(MODELS))
+    children = _children(root, len(omegas) * len(MODELS))
     cols = {m: ([], []) for m in MODELS}
     estimates, failures = [], []
     runs = {}  # (row, model) -> (estimate or None, failure message or None)

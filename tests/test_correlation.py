@@ -134,9 +134,9 @@ def test_pw_kernel_even_in_omega(bbo):
 
 
 def test_pw_kernel_evanescent_tally(bbo):
-    val, n_evan = pw_kernel_values(2e7, 0.0, bbo, 1.0)
+    val, ok = pw_kernel_values(2e7, 0.0, bbo, 1.0)
     assert val == 0.0
-    assert n_evan == 1
+    assert not ok
 
 
 def test_spectral_grid_validation():
@@ -219,13 +219,13 @@ def _cube_midplane(grid, crystal, g):
     """Reference full3d map: the delta_y = 0 plane of the 3D transform of
     the whole (q_x, q_y, Omega) kernel cube."""
     q_abs = np.hypot(grid.qx[:, None, None], grid.qy[None, :, None])
-    kern, n_evan = pw_kernel_values(q_abs, grid.omega[None, None, :], crystal, g)
+    kern, ok = pw_kernel_values(q_abs, grid.omega[None, None, :], crystal, g)
     n_qy = len(grid.qy)
     cube = np.fft.ifftn(np.fft.ifftshift(kern), axes=(0, 1)) * (grid.n_q * n_qy)
     cube = np.fft.fftshift(np.fft.fft(cube, axis=2))
     dqy = grid.qy[1] - grid.qy[0]
     plane = cube[:, n_qy // 2, :] * (grid.dq * dqy * grid.domega / (2 * math.pi) ** 3)
-    return plane, n_evan
+    return plane, int(np.count_nonzero(~ok))
 
 
 @pytest.mark.parametrize("name", ["bbo_collinear", "bbo_noncollinear"])
@@ -243,6 +243,50 @@ def test_full3d_matches_cube_midplane(name):
     m = correlation_map(grid, rc.crystal, rc.pump, mode="full3d")
     _, n_evan = _cube_midplane(grid, rc.crystal, rc.pump.coupling_g)
     assert m.evanescent_cells == n_evan == 1460
+
+
+def _signed_column_map(grid, crystal, pump, mode):
+    """Reference map that evaluates the kernel on every signed q_x, with
+    full3d's q_y rows in the same order and weights as correlation_map."""
+    g = pump.coupling_g
+    om = grid.omega[None, :]
+    if mode == "slice2d":
+        kern, ok = pw_kernel_values(grid.qx[:, None], om, crystal, g)
+        n_evan = int(np.count_nonzero(~ok))
+    else:
+        kern = np.zeros((grid.n_q, grid.n_omega), dtype=complex)
+        n_evan = 0
+        for qy, count in zip(*np.unique(np.abs(grid.qy), return_counts=True)):
+            row, ok = pw_kernel_values(np.hypot(grid.qx, qy)[:, None], om, crystal, g)
+            kern += count * row
+            n_evan += int(count) * int(np.count_nonzero(~ok))
+        kern *= float(grid.qy[1] - grid.qy[0]) / (2 * math.pi)
+    return synthesize_map(kern, grid, mode, crystal, evanescent_cells=n_evan)
+
+
+@pytest.mark.parametrize("mode", ["slice2d", "full3d"])
+@pytest.mark.parametrize("name", ["bbo_collinear", "bbo_noncollinear"])
+def test_mirror_rows_match_signed_column_bits(name, mode):
+    # the kernel sees q only through q^2, so evaluating each |q_x| once
+    # and copying it to its mirror row moves no bit of the map
+    rc = parse_config(builtin_config_path(name))
+    n_q = 64 if mode == "full3d" else 256
+    qext = default_q_extent(rc.crystal, 3e14, n_q=n_q)
+    grid = SpectralGrid.centered(n_q, qext, 96, 3e14, with_qy=(mode == "full3d"))
+    m = correlation_map(grid, rc.crystal, rc.pump, mode=mode)
+    ref = _signed_column_map(grid, rc.crystal, rc.pump, mode)
+    assert np.array_equal(m.psi, ref.psi)
+    assert np.array_equal(m.intensity, np.abs(ref.psi) ** 2)
+    assert m.evanescent_cells == ref.evanescent_cells
+
+
+def test_mirror_rows_keep_evanescent_count(collinear, pump):
+    # past the emission cone every signed q_x row counts, mirrors included
+    grid = SpectralGrid.centered(16, 1.5e7, 8, 3e14)
+    m = correlation_map(grid, collinear, pump)
+    ref = _signed_column_map(grid, collinear, pump, "slice2d")
+    assert m.evanescent_cells == ref.evanescent_cells > 0
+    assert np.array_equal(m.psi, ref.psi)
 
 
 def test_full3d_memory_stays_2d(collinear, pump):

@@ -379,18 +379,29 @@ def test_sweep_single_cell_matches_direct_call(collinear, pump):
     filt = BandwidthFilter(q_max=1.2e6, omega_max=1e14)
     omegas = [5e13, 1e14]
     sweep = bandwidth_sweep(omegas, filt, collinear, pump, (20_000, 60_000), 77)
+    children = np.random.SeedSequence(77).spawn(6)
     for i, om in enumerate(omegas):
         for j, (model, col) in enumerate(zip(schmidt.MODELS, ("k3d", "k2d", "k1d"))):
-            # spatial2d has no Omega axis: every row is row 0's cell, child 1;
-            # a fresh child per call, since spawning advances a SeedSequence
-            child = np.random.SeedSequence(77).spawn(6)[
-                1 if model == "spatial2d" else i * 3 + j]
+            # spatial2d has no Omega axis: every row is row 0's cell, child 1
+            child = children[1 if model == "spatial2d" else i * 3 + j]
             direct = schmidt_number(
                 replace(filt, model=model, omega_max=om), collinear, pump,
                 (20_000, 60_000), child,
             )
             assert getattr(sweep, col)[i] == direct.k_value
             assert getattr(sweep, col + "_err")[i] == direct.k_stderr
+
+
+def test_seed_object_reused_gives_same_bits(collinear, pump):
+    # deriving the norm/purity and lane streams leaves the seed object as it
+    # was, so a second call with the same child repeats the first
+    filt = BandwidthFilter(q_max=1.2e6, omega_max=1e14, model="temporal1d")
+    child = np.random.SeedSequence(5).spawn(1)[0]
+    first, second = (schmidt_number(filt, collinear, pump, (20_000, 60_000), child)
+                     for _ in range(2))
+    assert repr(first.k_value) == repr(second.k_value)
+    assert repr(first.k_stderr) == repr(second.k_stderr)
+    assert child.n_children_spawned == 0
 
 
 def test_spatial2d_reads_no_omega(collinear, pump):
