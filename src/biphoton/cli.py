@@ -30,7 +30,6 @@ from .config import ConfigError, RunConfig, config_snapshot, dump_config, parse_
 from .correlation import (
     CorrelationMap,
     SpectralGrid,
-    arm_reach,
     correlation_map,
     default_q_extent,
     ridge_fit,
@@ -243,9 +242,7 @@ def cmd_correlate(rc: RunConfig, outdir: Path, tracker) -> dict:
     q_extent = g.q_extent
     if q_extent is None:
         q_extent = default_q_extent(rc.crystal, g.omega_extent, n_q=g.n_q)
-    grid = SpectralGrid.centered(
-        g.n_q, q_extent, g.n_omega, g.omega_extent, with_qy=(g.mode == "full3d")
-    )
+    grid = SpectralGrid(g.n_q, q_extent, g.n_omega, g.omega_extent)
     cmap = correlation_map(grid, rc.crystal, rc.pump, mode=g.mode)
     _export_map(cmap, outdir, tracker, rc)
 
@@ -259,7 +256,7 @@ def cmd_correlate(rc: RunConfig, outdir: Path, tracker) -> dict:
         "n_points": [fit.n_plus, fit.n_minus],
         "sufficient": fit.sufficient,
         "reason": fit.reason,
-        "arm_reach_m": arm_reach(rc.crystal, g.omega_extent),
+        "arm_reach_m": cmap.arm_reach,
         "warnings": cmap.warnings,
     }
     if fit.flat:

@@ -18,7 +18,7 @@ from .dispersion import (
     KATO_BBO_ORDINARY,
     CrystalConfig,
 )
-from .schmidt import MIN_NORM_SAMPLES, MIN_PURITY_SAMPLES
+from .schmidt import DEFAULT_BATCH, MIN_NORM_SAMPLES, MIN_PURITY_SAMPLES
 
 
 class ConfigError(ValueError):
@@ -81,7 +81,7 @@ class McParams:
     n_purity: int = 10_000_000
     seed: int = 12345
     sampler: str = "pump"
-    batch: int = 1 << 19
+    batch: int = DEFAULT_BATCH
 
     def __post_init__(self):
         if self.sampler not in ("pump", "uniform"):
@@ -107,6 +107,14 @@ class RunConfig:
 
 def _floats(text):
     return tuple(float(tok) for tok in text.replace(",", " ").split())
+
+
+def _count(text):
+    """A whole number of samples; 2e6 and 2000000.0 parse, 1500.7 does not."""
+    value = float(text)
+    if not value.is_integer():
+        raise ValueError("not a whole number")
+    return int(value)
 
 
 def _flag(text):
@@ -143,11 +151,11 @@ _SCHEMA = {
     ("filter", "q_max"): ("filter.q_max", float),
     ("filter", "omega_max"): ("filter.omega_max", float),
     ("filter", "omega_max_list"): ("filter.omega_max_list", _floats),
-    ("mc", "n_norm"): ("mc.n_norm", lambda s: int(float(s))),
-    ("mc", "n_purity"): ("mc.n_purity", lambda s: int(float(s))),
-    ("mc", "seed"): ("mc.seed", lambda s: int(s)),
+    ("mc", "n_norm"): ("mc.n_norm", _count),
+    ("mc", "n_purity"): ("mc.n_purity", _count),
+    ("mc", "seed"): ("mc.seed", int),
     ("mc", "sampler"): ("mc.sampler", str.strip),
-    ("mc", "batch"): ("mc.batch", lambda s: int(float(s))),
+    ("mc", "batch"): ("mc.batch", _count),
     ("output", "dir"): ("output_dir", str.strip),
 }
 

@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
-
 import numpy as np
 
 from .dispersion import CrystalConfig, signal_wavenumber
@@ -148,37 +146,37 @@ def pw_kernel_values(q, omega_shift, crystal: CrystalConfig, g):
 
 @dataclass(frozen=True)
 class SpectralGrid:
-    """Centered (q, Omega) sampling grid; optionally carries a q_y axis.
+    """Centered (q, Omega) sampling grid: n_q points over [-q_extent,
+    q_extent) and n_omega over [-omega_extent, omega_extent).
 
-    Axes are fftshift-style: n even, spacing d, points (i - n/2) * d, so the
-    zero bin sits at index n/2 and the conjugate axes follow the DFT
-    reciprocity d_conj = 2 pi / (n * d).
+    Axes are fftshift-style: n even, spacing d = 2 extent / n, points
+    (i - n/2) * d, so the zero bin sits at index n/2 and the conjugate axes
+    follow the DFT reciprocity d_conj = 2 pi / (n * d).  full3d maps use
+    the q axis for q_y as well.
     """
 
-    qx: np.ndarray
-    omega: np.ndarray
-    qy: Optional[np.ndarray] = None
+    n_q: int
+    q_extent: float
+    n_omega: int
+    omega_extent: float
 
     def __post_init__(self):
-        for name, ax in (("qx", self.qx), ("omega", self.omega), ("qy", self.qy)):
-            if ax is None:
-                continue
-            ax = np.asarray(ax, dtype=float)
-            object.__setattr__(self, name, ax)
-            n = len(ax)
+        for axis in ("q", "omega"):
+            n, extent = getattr(self, f"n_{axis}"), getattr(self, f"{axis}_extent")
             if n < 2 or n % 2 != 0:
-                raise ValueError(f"{name} axis must have even length >= 2, got {n}")
-            d = ax[1] - ax[0]
-            if not d > 0:
-                raise ValueError(f"{name} spacing must be positive")
-            if abs(ax[n // 2]) > 1e-9 * d:
-                raise ValueError(f"{name} axis must have its zero bin at index n/2")
+                raise ValueError(f"n_{axis} must be even and >= 2, got {n}")
+            if not extent > 0:
+                raise ValueError(f"{axis}_extent must be > 0, got {extent}")
 
-    @classmethod
-    def centered(cls, n_q, q_extent, n_omega, omega_extent, with_qy=False):
-        qx = (np.arange(n_q) - n_q // 2) * (2.0 * q_extent / n_q)
-        om = (np.arange(n_omega) - n_omega // 2) * (2.0 * omega_extent / n_omega)
-        return cls(qx=qx, omega=om, qy=qx.copy() if with_qy else None)
+    @cached_property
+    def qx(self):
+        n = self.n_q
+        return (np.arange(n) - n // 2) * (2.0 * self.q_extent / n)
+
+    @cached_property
+    def omega(self):
+        n = self.n_omega
+        return (np.arange(n) - n // 2) * (2.0 * self.omega_extent / n)
 
     @property
     def dq(self):
@@ -187,14 +185,6 @@ class SpectralGrid:
     @property
     def domega(self):
         return float(self.omega[1] - self.omega[0])
-
-    @property
-    def n_q(self):
-        return len(self.qx)
-
-    @property
-    def n_omega(self):
-        return len(self.omega)
 
 
 def _curve_edge(crystal: CrystalConfig, omega_edge: float):
@@ -251,8 +241,7 @@ class CorrelationMap:
     delta_t: np.ndarray  # s
     psi: np.ndarray  # complex, shape (n_q, n_omega)
     mode: str  # slice2d | full3d
-    grid: SpectralGrid
-    crystal: CrystalConfig
+    arm_reach: float  # m, sizes ridge_window; 0 for a map with no crystal
     warnings: list = field(default_factory=list)
     evanescent_cells: int = 0
 
@@ -262,7 +251,7 @@ class CorrelationMap:
         return np.abs(self.psi) ** 2
 
 
-def synthesize_map(kernel_values, grid: SpectralGrid, mode, crystal,
+def synthesize_map(kernel_values, grid: SpectralGrid, mode, arm_reach=0.0,
                    warnings=None, evanescent_cells=0) -> CorrelationMap:
     """Fourier-synthesize a correlation map from kernel values on (q_x, Omega).
 
@@ -292,21 +281,19 @@ def synthesize_map(kernel_values, grid: SpectralGrid, mode, crystal,
         delta_t=delta_t,
         psi=psi,
         mode=mode,
-        grid=grid,
-        crystal=crystal,
+        arm_reach=arm_reach,
         warnings=list(warnings or []),
         evanescent_cells=evanescent_cells,
     )
 
 
-def _resolution_warning(grid: SpectralGrid, crystal: CrystalConfig):
+def _resolution_warning(grid: SpectralGrid, crystal: CrystalConfig, reach):
     """>= 4 samples across the central sinc lobe at the Omega edge, else warn."""
-    om_edge = float(np.max(np.abs(grid.omega)))
-    q_edge = solve_q_pm(om_edge, crystal)
+    q_edge = solve_q_pm(grid.omega_extent, crystal)
     if math.isnan(q_edge) or q_edge == 0.0:
         return None
     # d Delta_pw / dq at the root is the arm reach: l_c q (1/k_z+ + 1/k_z-)
-    lobe = 4.0 * math.pi / arm_reach(crystal, om_edge)
+    lobe = 4.0 * math.pi / reach
     samples = lobe / grid.dq
     if samples < 4.0:
         return (
@@ -323,15 +310,17 @@ def correlation_map(grid: SpectralGrid, crystal: CrystalConfig,
     slice2d transforms the (q_x, Omega) section at q_y = 0, which contains
     the full X / cigar geometry.  full3d returns the delta_y = 0 plane of
     the (q_x, q_y, Omega) transform: at delta_y = 0 the q_y integral acts on
-    the kernel alone, so the kernel summed over q_y (times dq_y / 2 pi) goes
+    the kernel alone, so the kernel summed over q_y (times dq / 2 pi) goes
     through the same 2D transform, one q_y row at a time and never as a
-    cube.  The kernel depends on q only through |q|, so both modes evaluate
-    it once per distinct |q_x| and copy each row to its sign mirror; full3d
-    also evaluates each distinct |q_y| once and weights it by its
-    multiplicity.  Amplitudes approximate the continuous transform (kernel
-    sums are scaled by dq dOmega / (2 pi)^d).
+    cube.  full3d samples q_y on the grid's q axis.  The kernel depends on
+    q only through |q|, so both modes evaluate it once per distinct |q_x|
+    and copy each row to its sign mirror; full3d also evaluates each
+    distinct |q_y| once and weights it by its multiplicity.  Amplitudes
+    approximate the continuous transform (kernel sums are scaled by
+    dq dOmega / (2 pi)^d).
     """
-    warn = _resolution_warning(grid, crystal)
+    reach = arm_reach(crystal, grid.omega_extent)
+    warn = _resolution_warning(grid, crystal, reach)
     warnings = [warn] if warn else []
     g = pump.coupling_g
     om = grid.omega[None, :]
@@ -339,24 +328,28 @@ def correlation_map(grid: SpectralGrid, crystal: CrystalConfig,
     qx_abs, inv, mult = np.unique(np.abs(grid.qx), return_inverse=True,
                                   return_counts=True)
     if mode == "slice2d":
-        kern, ok = pw_kernel_values(qx_abs[:, None], om, crystal, g)
-        n_evan = int(mult @ np.count_nonzero(~ok, axis=1))
+        qy_rows = [(0.0, 1)]
     elif mode == "full3d":
-        if grid.qy is None:
-            raise ValueError("full3d mode needs a grid with a qy axis")
-        kern = np.zeros((len(qx_abs), grid.n_omega), dtype=complex)
-        n_evan = 0
-        for qy, count in zip(*np.unique(np.abs(grid.qy), return_counts=True)):
-            row, ok = pw_kernel_values(np.hypot(qx_abs, qy)[:, None], om, crystal, g)
-            kern += count * row
-            n_evan += int(count) * int(mult @ np.count_nonzero(~ok, axis=1))
-        kern *= float(grid.qy[1] - grid.qy[0]) / TWO_PI
+        qy_rows = zip(qx_abs, mult)
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    kern = None
+    n_evan = 0
+    for qy, weight in qy_rows:  # ascending |q_y|, weighted by multiplicity
+        row, ok = pw_kernel_values(np.hypot(qx_abs, qy)[:, None], om, crystal, g)
+        if weight != 1:
+            row *= weight
+        if kern is None:
+            kern = row
+        else:
+            kern += row
+        n_evan += int(weight) * int(mult @ np.count_nonzero(~ok, axis=1))
+    del row, ok
+    if mode == "full3d":
+        kern *= grid.dq / TWO_PI
     kern = kern[inv]  # rebinding frees the |q_x| rows before the transform
-    return synthesize_map(
-        kern, grid, mode, crystal, warnings=warnings, evanescent_cells=n_evan
-    )
+    return synthesize_map(kern, grid, mode, arm_reach=reach, warnings=warnings,
+                          evanescent_cells=n_evan)
 
 
 def factorized_correlation(xi_mean, xi_diff, cmap: CorrelationMap,
@@ -431,7 +424,7 @@ def ridge_window(cmap: CorrelationMap, core_exclusion=None, outer_limit=None):
     births contribute and the peak locus droops.
     """
     x_max = float(cmap.delta_x[-1])
-    reach = arm_reach(cmap.crystal, float(np.max(np.abs(cmap.grid.omega))))
+    reach = cmap.arm_reach
     if core_exclusion is None:
         core_exclusion = 0.10 * reach if reach > 0 else 0.05 * x_max
     if outer_limit is None:

@@ -95,8 +95,7 @@ def test_criterion_4_x_asymptotes(collinear_rc):
     rc = collinear_rc
     coeff = taylor_coefficients(rc.crystal)
     qext = default_q_extent(rc.crystal, rc.grid.omega_extent, n_q=rc.grid.n_q)
-    grid = SpectralGrid.centered(rc.grid.n_q, qext, rc.grid.n_omega,
-                                 rc.grid.omega_extent)
+    grid = SpectralGrid(rc.grid.n_q, qext, rc.grid.n_omega, rc.grid.omega_extent)
     cmap = correlation_map(grid, rc.crystal, rc.pump)
     fit = ridge_fit(cmap)
     err_p = fit.slope_plus / coeff.asymptote_slope - 1.0
@@ -113,8 +112,7 @@ def test_criterion_4_x_asymptotes(collinear_rc):
 def test_criterion_5_cigar_geometry(collinear_rc, noncollinear_rc):
     rc = noncollinear_rc
     qext = default_q_extent(rc.crystal, rc.grid.omega_extent, n_q=rc.grid.n_q)
-    grid = SpectralGrid.centered(rc.grid.n_q, qext, rc.grid.n_omega,
-                                 rc.grid.omega_extent)
+    grid = SpectralGrid(rc.grid.n_q, qext, rc.grid.n_omega, rc.grid.omega_extent)
     cmap = correlation_map(grid, rc.crystal, rc.pump)
     inten = np.abs(cmap.psi) ** 2
     x, t = cmap.delta_x, cmap.delta_t

@@ -74,6 +74,24 @@ def test_mc_values_below_the_sampler_minimums_name_field(tmp_path, line, field):
         parse_config(cfg)
 
 
+@pytest.mark.parametrize("line, key", [
+    ("n_norm = 1500.7", "n_norm"), ("n_purity = 20000.5", "n_purity"),
+    ("batch = 16384.5", "batch"), ("batch = inf", "batch")])
+def test_mc_counts_must_be_whole_numbers(tmp_path, line, key):
+    cfg = tmp_path / "mc.cfg"
+    cfg.write_text(f"[mc]\n{line}\n")
+    with pytest.raises(ConfigError, match=rf"\[mc\] {key}: .*not a whole number"):
+        parse_config(cfg)
+
+
+def test_mc_counts_accept_exponent_and_point_zero(tmp_path):
+    cfg = tmp_path / "mc.cfg"
+    cfg.write_text("[mc]\nn_norm = 2e6\nn_purity = 2000000.0\nbatch = 16384\n")
+    mc = parse_config(cfg).mc
+    assert (mc.n_norm, mc.n_purity, mc.batch) == (2_000_000, 2_000_000, 16384)
+    assert all(type(v) is int for v in (mc.n_norm, mc.n_purity, mc.batch))
+
+
 def test_unknown_key_rejected_with_location(tmp_path):
     cfg = tmp_path / "unknown.cfg"
     cfg.write_text("[crystal]\nlenght_mm = 4.0\n")
@@ -471,14 +489,14 @@ def test_cli_env_var_output_dir(tmp_path, monkeypatch, capsys):
     assert (target / "tune.json").is_file()
 
 
-def test_cli_entry_point_runs():
+def test_cli_entry_point_runs(tmp_path):
     # the child must import the same biphoton as this process, installed or
     # put on sys.path by pytest's pythonpath setting
     src = str(Path(biphoton.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "biphoton.cli", "tune", "--config",
-         str(COLLINEAR_CFG), "--out", "/tmp/biphoton_entry_test"],
+         str(COLLINEAR_CFG), "--out", str(tmp_path / "entry")],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0

@@ -140,14 +140,19 @@ def test_pw_kernel_evanescent_tally(bbo):
 
 
 def test_spectral_grid_validation():
-    with pytest.raises(ValueError, match="even"):
-        SpectralGrid(qx=np.linspace(-1, 1, 5), omega=np.linspace(-1, 1, 4))
-    with pytest.raises(ValueError, match="zero bin"):
-        SpectralGrid(qx=np.linspace(-1.0, 1.0, 4), omega=(np.arange(4) - 2.0))
-    g = SpectralGrid.centered(8, 4.0, 6, 3.0)
-    assert g.qx[4] == 0.0
-    assert g.omega[3] == 0.0
+    with pytest.raises(ValueError, match="n_q must be even"):
+        SpectralGrid(5, 1.0, 4, 1.0)
+    with pytest.raises(ValueError, match="n_omega must be even"):
+        SpectralGrid(4, 1.0, 0, 1.0)
+    with pytest.raises(ValueError, match="q_extent must be > 0"):
+        SpectralGrid(4, 0.0, 4, 1.0)
+    with pytest.raises(ValueError, match="omega_extent must be > 0"):
+        SpectralGrid(4, 1.0, 4, -3.0)
+    g = SpectralGrid(8, 4.0, 6, 3.0)
+    assert g.qx[4] == 0.0 and g.qx[0] == -4.0
+    assert g.omega[3] == 0.0 and g.omega[0] == -3.0
     assert g.dq == pytest.approx(1.0)
+    assert g.domega == pytest.approx(1.0)
 
 
 def _sinc2_map(grid, crystal):
@@ -157,7 +162,7 @@ def _sinc2_map(grid, crystal):
 
 def test_sinc2_map_bounds_and_ridges(collinear, noncollinear):
     coeff = taylor_coefficients(collinear)
-    grid = SpectralGrid.centered(256, 3e5, 256, 3e14)
+    grid = SpectralGrid(256, 3e5, 256, 3e14)
     m = _sinc2_map(grid, collinear)
     assert m.shape == (256, 256)
     assert np.all(m >= 0) and np.all(m <= 1.0)
@@ -167,7 +172,7 @@ def test_sinc2_map_bounds_and_ridges(collinear, noncollinear):
         q_star = abs(grid.qx[np.argmax(m[:, j])])
         assert q_star == pytest.approx(coeff.asymptote_slope * abs(om), abs=2 * grid.dq)
     # noncollinear ridge is a horizontal pair of lines at the ring radius
-    grid_n = SpectralGrid.centered(512, 1.5e6, 128, 1e14)
+    grid_n = SpectralGrid(512, 1.5e6, 128, 1e14)
     m_n = _sinc2_map(grid_n, noncollinear)
     ring = math.sqrt(coeff.k_s * 419.57 / noncollinear.length_lc)
     for j in (10, 64, 100):
@@ -175,10 +180,10 @@ def test_sinc2_map_bounds_and_ridges(collinear, noncollinear):
         assert q_star == pytest.approx(ring, rel=0.02)
 
 
-def test_constant_kernel_transforms_to_delta(bbo):
-    grid = SpectralGrid.centered(64, 1e5, 64, 1e14)
+def test_constant_kernel_transforms_to_delta():
+    grid = SpectralGrid(64, 1e5, 64, 1e14)
     kern = np.ones((64, 64), dtype=complex)
-    m = synthesize_map(kern, grid, "slice2d", bbo)
+    m = synthesize_map(kern, grid, "slice2d")
     inten = np.abs(m.psi) ** 2
     peak = np.unravel_index(np.argmax(inten), inten.shape)
     assert peak == (32, 32)
@@ -186,11 +191,11 @@ def test_constant_kernel_transforms_to_delta(bbo):
 
 
 def test_map_parseval(collinear, pump):
-    grid = SpectralGrid.centered(256, 4e5, 256, 3e14)
+    grid = SpectralGrid(256, 4e5, 256, 3e14)
     kern, _ = pw_kernel_values(
         grid.qx[:, None], grid.omega[None, :], collinear, pump.coupling_g
     )
-    m = synthesize_map(kern, grid, "slice2d", collinear)
+    m = synthesize_map(kern, grid, "slice2d")
     lhs = (np.abs(m.psi) ** 2).sum() * (m.delta_x[1] - m.delta_x[0]) * (
         m.delta_t[1] - m.delta_t[0]
     )
@@ -199,32 +204,46 @@ def test_map_parseval(collinear, pump):
 
 
 def test_map_linear_in_g(collinear):
-    grid = SpectralGrid.centered(128, 4e5, 128, 3e14)
+    grid = SpectralGrid(128, 4e5, 128, 3e14)
     m1 = correlation_map(grid, collinear, PumpConfig(coupling_g=1e-3))
     m2 = correlation_map(grid, collinear, PumpConfig(coupling_g=2e-3))
     assert np.allclose(np.abs(m2.psi), 2 * np.abs(m1.psi), rtol=1e-12)
 
 
 def test_full3d_mode_returns_midplane(collinear, pump):
-    grid = SpectralGrid.centered(32, 4e5, 32, 3e14, with_qy=True)
+    # full3d takes q_y from the grid's own q axis, so one grid serves both
+    # the q_y = 0 cut and the delta_y = 0 plane
+    grid = SpectralGrid(32, 4e5, 32, 3e14)
     m3 = correlation_map(grid, collinear, pump, mode="full3d")
-    assert m3.psi.shape == (32, 32)
+    m2 = correlation_map(grid, collinear, pump, mode="slice2d")
+    assert m3.psi.shape == m2.psi.shape == (32, 32)
     assert m3.mode == "full3d"
+    assert np.array_equal(m3.delta_x, m2.delta_x)
+    assert np.array_equal(m3.delta_t, m2.delta_t)
+    assert not np.allclose(m3.psi, m2.psi)
     # the delta_y = 0 plane keeps the reflection symmetry in delta_x
     inten = np.abs(m3.psi) ** 2
     assert np.allclose(inten[1:, :], inten[1:, :][::-1, :], rtol=1e-8)
 
 
+@pytest.mark.parametrize("mode", ["slice2d", "full3d"])
+def test_map_carries_its_arm_reach(collinear, pump, mode):
+    grid = SpectralGrid(16, 4e5, 16, 3e14)
+    m = correlation_map(grid, collinear, pump, mode=mode)
+    assert m.arm_reach == arm_reach(collinear, 3e14) > 0
+    synth = synthesize_map(np.ones((16, 16), complex), grid, mode)
+    assert synth.arm_reach == 0.0
+
+
 def _cube_midplane(grid, crystal, g):
     """Reference full3d map: the delta_y = 0 plane of the 3D transform of
     the whole (q_x, q_y, Omega) kernel cube."""
-    q_abs = np.hypot(grid.qx[:, None, None], grid.qy[None, :, None])
+    q_abs = np.hypot(grid.qx[:, None, None], grid.qx[None, :, None])
     kern, ok = pw_kernel_values(q_abs, grid.omega[None, None, :], crystal, g)
-    n_qy = len(grid.qy)
-    cube = np.fft.ifftn(np.fft.ifftshift(kern), axes=(0, 1)) * (grid.n_q * n_qy)
+    n = grid.n_q
+    cube = np.fft.ifftn(np.fft.ifftshift(kern), axes=(0, 1)) * (n * n)
     cube = np.fft.fftshift(np.fft.fft(cube, axis=2))
-    dqy = grid.qy[1] - grid.qy[0]
-    plane = cube[:, n_qy // 2, :] * (grid.dq * dqy * grid.domega / (2 * math.pi) ** 3)
+    plane = cube[:, n // 2, :] * (grid.dq**2 * grid.domega / (2 * math.pi) ** 3)
     return plane, int(np.count_nonzero(~ok))
 
 
@@ -232,14 +251,14 @@ def _cube_midplane(grid, crystal, g):
 def test_full3d_matches_cube_midplane(name):
     rc = parse_config(builtin_config_path(name))
     qext = default_q_extent(rc.crystal, 3e14, n_q=64)
-    grid = SpectralGrid.centered(64, qext, 48, 3e14, with_qy=True)
+    grid = SpectralGrid(64, qext, 48, 3e14)
     m = correlation_map(grid, rc.crystal, rc.pump, mode="full3d")
     ref, _ = _cube_midplane(grid, rc.crystal, rc.pump.coupling_g)
     assert m.psi.shape == ref.shape == (64, 48)
     assert np.max(np.abs(m.psi - ref)) <= 1e-12 * np.max(np.abs(ref))
     # a grid reaching past the emission cone: the evanescent count is per
     # cube cell, as for the cube itself
-    grid = SpectralGrid.centered(16, 1.5e7, 8, 3e14, with_qy=True)
+    grid = SpectralGrid(16, 1.5e7, 8, 3e14)
     m = correlation_map(grid, rc.crystal, rc.pump, mode="full3d")
     _, n_evan = _cube_midplane(grid, rc.crystal, rc.pump.coupling_g)
     assert m.evanescent_cells == n_evan == 1460
@@ -256,12 +275,12 @@ def _signed_column_map(grid, crystal, pump, mode):
     else:
         kern = np.zeros((grid.n_q, grid.n_omega), dtype=complex)
         n_evan = 0
-        for qy, count in zip(*np.unique(np.abs(grid.qy), return_counts=True)):
+        for qy, count in zip(*np.unique(np.abs(grid.qx), return_counts=True)):
             row, ok = pw_kernel_values(np.hypot(grid.qx, qy)[:, None], om, crystal, g)
             kern += count * row
             n_evan += int(count) * int(np.count_nonzero(~ok))
-        kern *= float(grid.qy[1] - grid.qy[0]) / (2 * math.pi)
-    return synthesize_map(kern, grid, mode, crystal, evanescent_cells=n_evan)
+        kern *= grid.dq / (2 * math.pi)
+    return synthesize_map(kern, grid, mode, evanescent_cells=n_evan)
 
 
 @pytest.mark.parametrize("mode", ["slice2d", "full3d"])
@@ -272,7 +291,7 @@ def test_mirror_rows_match_signed_column_bits(name, mode):
     rc = parse_config(builtin_config_path(name))
     n_q = 64 if mode == "full3d" else 256
     qext = default_q_extent(rc.crystal, 3e14, n_q=n_q)
-    grid = SpectralGrid.centered(n_q, qext, 96, 3e14, with_qy=(mode == "full3d"))
+    grid = SpectralGrid(n_q, qext, 96, 3e14)
     m = correlation_map(grid, rc.crystal, rc.pump, mode=mode)
     ref = _signed_column_map(grid, rc.crystal, rc.pump, mode)
     assert np.array_equal(m.psi, ref.psi)
@@ -282,7 +301,7 @@ def test_mirror_rows_match_signed_column_bits(name, mode):
 
 def test_mirror_rows_keep_evanescent_count(collinear, pump):
     # past the emission cone every signed q_x row counts, mirrors included
-    grid = SpectralGrid.centered(16, 1.5e7, 8, 3e14)
+    grid = SpectralGrid(16, 1.5e7, 8, 3e14)
     m = correlation_map(grid, collinear, pump)
     ref = _signed_column_map(grid, collinear, pump, "slice2d")
     assert m.evanescent_cells == ref.evanescent_cells > 0
@@ -291,7 +310,7 @@ def test_mirror_rows_keep_evanescent_count(collinear, pump):
 
 def test_full3d_memory_stays_2d(collinear, pump):
     # the 128 x 128 x 256 cube alone would take 64 MiB of complex128
-    grid = SpectralGrid.centered(128, 4e5, 256, 3e14, with_qy=True)
+    grid = SpectralGrid(128, 4e5, 256, 3e14)
     tracemalloc.start()
     try:
         m = correlation_map(grid, collinear, pump, mode="full3d")
@@ -302,16 +321,16 @@ def test_full3d_memory_stays_2d(collinear, pump):
     assert peak < 16 * 2**20
 
 
-def test_synthesize_map_rejects_unknown_mode_and_cube(bbo):
-    grid = SpectralGrid.centered(8, 1e5, 8, 1e14, with_qy=True)
+def test_synthesize_map_rejects_unknown_mode_and_cube():
+    grid = SpectralGrid(8, 1e5, 8, 1e14)
     with pytest.raises(ValueError, match="unknown mode"):
-        synthesize_map(np.ones((8, 8), complex), grid, "full4d", bbo)
+        synthesize_map(np.ones((8, 8), complex), grid, "full4d")
     with pytest.raises(ValueError, match="shape"):
-        synthesize_map(np.ones((8, 8, 8), complex), grid, "full3d", bbo)
+        synthesize_map(np.ones((8, 8, 8), complex), grid, "full3d")
 
 
 def test_resolution_warning_on_coarse_grid(noncollinear, pump):
-    grid = SpectralGrid.centered(64, 2.1e6, 256, 3e14)
+    grid = SpectralGrid(64, 2.1e6, 256, 3e14)
     m = correlation_map(grid, noncollinear, pump)
     assert m.warnings and "under-resolved" in m.warnings[0]
 
@@ -320,7 +339,7 @@ def test_collinear_map_ridge_slopes(bbo, pump):
     # bundled collinear geometry: X-arm slopes within 5% of sqrt(k_s k''_s)
     coeff = taylor_coefficients(bbo)
     qext = default_q_extent(bbo, 3e14)
-    grid = SpectralGrid.centered(1024, qext, 1024, 3e14)
+    grid = SpectralGrid(1024, qext, 1024, 3e14)
     m = correlation_map(grid, bbo, pump)
     fit = ridge_fit(m)
     assert fit.sufficient
@@ -332,17 +351,17 @@ def test_ridge_fit_grid_refinement_stability(bbo, pump):
     qext = default_q_extent(bbo, 3e14)
     fits = []
     for n in (1024, 2048):
-        grid = SpectralGrid.centered(n, qext, n, 3e14)
+        grid = SpectralGrid(n, qext, n, 3e14)
         fits.append(ridge_fit(correlation_map(grid, bbo, pump)))
     assert abs(fits[1].slope_plus - fits[0].slope_plus) < 0.01 * abs(
         fits[0].slope_plus
     )
 
 
-def test_ridge_fit_synthetic_known_slope(bbo):
+def test_ridge_fit_synthetic_known_slope():
     # Gaussian ridges exactly on q = +-Omega/c0: map arms at dt = dx/c0
     c0 = 1.0 / 6e-10  # m/s, slope 1/c0 = 6e-10 s/m
-    grid = SpectralGrid.centered(512, 4e5, 512, 3e14)
+    grid = SpectralGrid(512, 4e5, 512, 3e14)
     Q = grid.qx[:, None]
     OM = grid.omega[None, :]
     sigma = 4e3
@@ -350,7 +369,7 @@ def test_ridge_fit_synthetic_known_slope(bbo):
         np.exp(-((Q - OM / c0) ** 2) / (2 * sigma**2))
         + np.exp(-((Q + OM / c0) ** 2) / (2 * sigma**2))
     ).astype(complex)
-    m = synthesize_map(kern, grid, "slice2d", bbo)
+    m = synthesize_map(kern, grid, "slice2d")
     x_max = m.delta_x[-1]
     fit = ridge_fit(m, core_exclusion=0.08 * x_max, outer_limit=0.5 * x_max)
     assert fit.sufficient
@@ -360,7 +379,7 @@ def test_ridge_fit_synthetic_known_slope(bbo):
 
 def test_ridge_fit_noncollinear_flat_or_insufficient(noncollinear, pump):
     qext = default_q_extent(noncollinear, 3e14, n_q=1024)
-    grid = SpectralGrid.centered(1024, qext, 512, 3e14)
+    grid = SpectralGrid(1024, qext, 512, 3e14)
     fit = ridge_fit(correlation_map(grid, noncollinear, pump))
     s = taylor_coefficients(noncollinear).asymptote_slope
     assert (not fit.sufficient) or abs(fit.slope_plus) < 0.05 * s
@@ -373,22 +392,22 @@ def test_ridge_fit_flags_flat_locus(name, flat):
     rc = parse_config(builtin_config_path(name))
     g = rc.grid
     qext = default_q_extent(rc.crystal, g.omega_extent, n_q=g.n_q)
-    grid = SpectralGrid.centered(g.n_q, qext, g.n_omega, g.omega_extent)
+    grid = SpectralGrid(g.n_q, qext, g.n_omega, g.omega_extent)
     fit = ridge_fit(correlation_map(grid, rc.crystal, rc.pump))
     assert fit.sufficient
     assert fit.flat is flat
 
 
 def test_ridge_fit_insufficient_data(bbo, pump):
-    grid = SpectralGrid.centered(64, 4e5, 64, 3e14)
+    grid = SpectralGrid(64, 4e5, 64, 3e14)
     fit = ridge_fit(correlation_map(grid, bbo, pump), core_exclusion=1.0)
     assert not fit.sufficient
     assert "ridge points" in fit.reason
 
 
 def _small_map(crystal, pump):
-    grid = SpectralGrid.centered(256, default_q_extent(crystal, 3e14, n_q=256),
-                                 256, 3e14)
+    grid = SpectralGrid(256, default_q_extent(crystal, 3e14, n_q=256),
+                        256, 3e14)
     return correlation_map(grid, crystal, pump)
 
 
